@@ -10,8 +10,11 @@
 //! *incremental*: a [`MatchContext`] is backed by the DAG IR
 //! ([`quartz_ir::CircuitDag`]) and a child circuit's context is derived
 //! from its parent's through the splice delta that created it
-//! ([`MatchContext::derive`], O(rewrite footprint)) instead of being
-//! rebuilt from the sequence form per dequeued circuit (DESIGN.md §5).
+//! ([`MatchContext::derive_with_footprint`], O(rewrite footprint)) instead
+//! of being rebuilt from the sequence form per dequeued circuit
+//! (DESIGN.md §5). [`reference::optimize`] is the same search written out
+//! literally — no index, cache, derivation, or deferral — and serves as
+//! the oracle the production engine is tested against.
 //! Also the preprocessing passes (Toffoli decomposition, rotation merging,
 //! gate-set transpilation) and a greedy rule-based baseline.
 //!
@@ -58,6 +61,7 @@ mod cost;
 mod match_cache;
 mod matcher;
 mod preprocess;
+pub mod reference;
 mod search;
 mod service;
 mod xform;

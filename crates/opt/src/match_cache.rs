@@ -48,10 +48,11 @@
 //! structural matches and the convexity check moves to use time, where the
 //! engine without caching performs it anyway (at the matcher's full depth).
 //!
-//! The cached engine therefore serves, per dequeued circuit and per
-//! transformation, exactly the match set the full re-match engine would
-//! discover — which is what keeps `cached_matches: true` bit-identical to
-//! `cached_matches: false` (asserted field-by-field in tests and proptests).
+//! The cache therefore serves, per dequeued circuit and per transformation,
+//! exactly the match set a full re-match would discover — which is what
+//! keeps the search bit-identical to the re-match-everything reference
+//! oracle ([`crate::reference`]; asserted field-by-field in tests and
+//! proptests).
 
 use crate::matcher::{Match, MatchContext};
 use quartz_gen::{IndexScratch, TransformationIndex};
@@ -309,11 +310,6 @@ impl MatchCache {
     /// produced this cache) — the cache-hit numerator.
     pub fn carried(&self, id: usize) -> usize {
         self.entries[id].len() - self.fresh[id] as usize
-    }
-
-    /// Total structural matches currently cached, across transformations.
-    pub fn total_matches(&self) -> usize {
-        self.entries.iter().map(|e| e.len()).sum()
     }
 }
 

@@ -17,7 +17,8 @@
 //! rewritten sequence without mutating anything
 //! ([`MatchContext::apply_delta`]), or spliced into a clone of the DAG to
 //! *derive* the child circuit's matching state from its parent's in time
-//! proportional to the rewrite footprint ([`MatchContext::derive`]) — the
+//! proportional to the rewrite footprint
+//! ([`MatchContext::derive_with_footprint`]) — the
 //! incremental path the search layer rides (DESIGN.md §5).
 
 use quartz_gen::Transformation;
@@ -64,10 +65,10 @@ pub fn find_matches(circuit: &Circuit, pattern: &Circuit) -> Vec<Match> {
 ///
 /// * [`MatchContext::new`] builds one from a sequence circuit in O(circuit) —
 ///   the *rebuild* path, needed only for frontier roots;
-/// * [`MatchContext::derive`] builds a child context from a parent context
-///   and a [`SpliceDelta`] — a flat clone plus O(rewrite footprint) of
-///   actual recomputation, never touching the rest of the circuit
-///   (DESIGN.md §5).
+/// * [`MatchContext::derive_with_footprint`] builds a child context from a
+///   parent context and a [`SpliceDelta`] — a flat clone plus O(rewrite
+///   footprint) of actual recomputation, never touching the rest of the
+///   circuit (DESIGN.md §5).
 #[derive(Debug, Clone)]
 pub struct MatchContext {
     dag: CircuitDag,
@@ -254,12 +255,7 @@ impl MatchContext {
     /// the DAG and buckets, then an in-place splice and a bucket update
     /// touching only the rewrite footprint — no adjacency or bucket is ever
     /// recomputed from the sequence form (the search layer counts these as
-    /// `ctx_derives`; DESIGN.md §5).
-    pub fn derive(&self, delta: &SpliceDelta) -> MatchContext {
-        self.derive_with_footprint(delta).0
-    }
-
-    /// Like [`MatchContext::derive`], additionally reporting the splice's
+    /// `ctx_derives`; DESIGN.md §5). Also reports the splice's
     /// [`SpliceFootprint`] — the exact node set whose local matching state
     /// changed, which is what the match-site cache invalidates
     /// (DESIGN.md §8).
@@ -784,7 +780,7 @@ mod tests {
         for m in &matches {
             let delta = ctx.delta_for(&t, m).unwrap();
             let child_seq = ctx.apply_delta(&delta);
-            let derived = ctx.derive(&delta);
+            let derived = ctx.derive_with_footprint(&delta).0;
             derived.dag().validate().unwrap();
 
             // The derived DAG and the applied sequence are the same circuit.
@@ -818,7 +814,7 @@ mod tests {
         for expected_len in [4, 2, 0] {
             let m = ctx.find_matches(&t.target).into_iter().next().unwrap();
             let delta = ctx.delta_for(&t, &m).unwrap();
-            ctx = ctx.derive(&delta);
+            ctx = ctx.derive_with_footprint(&delta).0;
             ctx.dag().validate().unwrap();
             assert_eq!(ctx.dag().gate_count(), expected_len);
         }

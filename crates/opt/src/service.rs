@@ -606,7 +606,7 @@ impl ServiceScheduler {
             let frontier = slot.frontier.as_mut().expect("selected slots are running");
             let trace_len_before = frontier.improvement_trace().len();
             let take = batch_size.min(frontier.remaining_budget());
-            let popped = frontier.pop_batch(take, slot.admitted_at);
+            let popped = frontier.pop_batch(take);
             let frozen_best = frontier.best_cost();
             groups.push((id, popped.len(), trace_len_before));
             work.extend(popped.into_iter().map(|entry| (id, frozen_best, entry)));
@@ -891,49 +891,33 @@ mod tests {
         }
     }
 
-    /// Deferred materialization is invisible in service outcomes too: a
-    /// co-tenant batch under the deferred default is field-by-field
-    /// identical to the same batch on an eager service, while actually
-    /// deferring work.
+    /// Deferred materialization is invisible in service outcomes too: every
+    /// circuit of a co-tenant batch matches the reference oracle's eager
+    /// run of it, while the service actually defers work.
     #[test]
     fn deferred_service_batches_match_eager_batches() {
-        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 0)).run();
-        let config = SearchConfig {
-            timeout: Duration::from_secs(120),
-            max_iterations: 10,
-            num_threads: 3,
-            ..SearchConfig::default()
-        };
-        assert!(config.deferred_materialization, "deferral must default on");
-        let deferred = OptimizationService::from_ecc_set(&set, config.clone());
-        let eager = OptimizationService::from_ecc_set(
-            &set,
-            SearchConfig {
-                deferred_materialization: false,
-                ..config
-            },
-        );
+        let service = nam_service(10, 3);
+        let optimizer = service.optimizer();
         let batch = vec![h_ladder(6), cnot_pairs(4), h_ladder(3)];
-        let a = deferred.optimize_batch(&batch);
-        let b = eager.optimize_batch(&batch);
         let mut deferred_total = 0;
-        for (da, ea) in a.iter().zip(&b) {
-            assert_eq!(da.best_circuit, ea.best_circuit);
-            assert_eq!(da.best_cost, ea.best_cost);
-            assert_eq!(da.iterations, ea.iterations);
-            assert_eq!(da.circuits_seen, ea.circuits_seen);
-            assert_eq!(da.match_attempts, ea.match_attempts);
-            assert_eq!(da.dedup_hits, ea.dedup_hits);
-            assert_eq!(da.fp_fast_rejects, ea.fp_fast_rejects);
-            assert_eq!(da.fp_confirm_mismatches, 0);
-            assert_eq!(ea.fp_confirm_mismatches, 0);
-            assert!(da.dequeue_materializations <= da.materializations_deferred);
-            assert_eq!(ea.materializations_deferred, 0);
-            deferred_total += da.materializations_deferred;
+        for (circuit, served) in batch.iter().zip(service.optimize_batch(&batch)) {
+            let eager = crate::reference::optimize(
+                optimizer.transformations(),
+                optimizer.config(),
+                circuit,
+            );
+            assert_eq!(served.best_circuit, eager.best_circuit);
+            assert_eq!(served.best_cost, eager.best_cost);
+            assert_eq!(served.iterations, eager.iterations);
+            assert_eq!(served.circuits_seen, eager.circuits_seen);
+            assert_eq!(served.dedup_hits, eager.dedup_hits);
+            assert_eq!(served.fp_confirm_mismatches, 0);
+            assert!(served.dequeue_materializations <= served.materializations_deferred);
+            deferred_total += served.materializations_deferred;
         }
         assert!(
             deferred_total > 0,
-            "the deferred service must defer some materializations"
+            "the service must defer some materializations"
         );
     }
 

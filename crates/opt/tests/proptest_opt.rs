@@ -9,7 +9,8 @@ use quartz_ir::{
 };
 use quartz_opt::{
     cancel_adjacent_inverses, canonicalize, greedy_optimize, merge_rotations, preprocess_nam,
-    transformations_from_ecc_set, CostModel, MatchContext, Optimizer, SearchConfig, Transformation,
+    reference, transformations_from_ecc_set, CostModel, MatchContext, Optimizer, SearchConfig,
+    Transformation,
 };
 use std::sync::Arc;
 use std::time::Duration;
@@ -97,13 +98,16 @@ fn random_topological_reorder(circuit: &Circuit, picks: &[usize]) -> Circuit {
     out
 }
 
-/// One shared NAM (2, 2) dispatch index for the engine-equivalence cases,
-/// generated once per process instead of once per proptest case.
+/// One shared NAM (2, 2, 2) dispatch index for the engine-equivalence
+/// cases, generated once per process instead of once per proptest case. Two
+/// symbolic parameters give it rotation merges (−1 gate) next to the
+/// cancellations (−2), so expansions yield candidates of several costs and
+/// the merge-time γ rule is exercised.
 fn shared_nam_index() -> Arc<quartz_opt::TransformationIndex> {
     use std::sync::OnceLock;
     static INDEX: OnceLock<Arc<quartz_opt::TransformationIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
-        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 1)).run();
+        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 2)).run();
         Optimizer::from_ecc_set(&set, SearchConfig::default()).shared_index()
     }))
 }
@@ -207,106 +211,14 @@ proptest! {
         prop_assert_eq!(trace_a, trace_b);
     }
 
-    /// The match-site cache (DESIGN.md §8) must be invisible in search
-    /// outcomes: walking the random rewrite chains a real search performs,
-    /// the cached engine's `SearchResult` is field-by-field identical to
-    /// `cached_matches: false` — same best circuit, same trajectory, same
-    /// dedup/context counters — while doing no worse on full match passes.
-    #[test]
-    fn cached_match_engine_is_bit_identical_to_full_rematching(
-        input in arb_clifford_t_circuit(3, 10),
-    ) {
-        let nam = quartz_opt::clifford_t_to_nam(&input);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(60),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        prop_assert!(config.cached_matches, "caching must default on");
-        let cached = Optimizer::with_index(shared_nam_index(), config.clone());
-        let uncached = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { cached_matches: false, ..config },
-        );
-        let a = cached.optimize(&nam);
-        let b = uncached.optimize(&nam);
-        prop_assert_eq!(&a.best_circuit, &b.best_circuit);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.initial_cost, b.initial_cost);
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.circuits_seen, b.circuits_seen);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(trace_a, trace_b);
-        // Matching effort: only roots pay full passes under caching.
-        prop_assert!(a.match_attempts <= b.match_attempts);
-        prop_assert_eq!(b.matches_cached, 0);
-        prop_assert_eq!(b.scoped_rematches, 0);
-        if a.iterations > 1 {
-            prop_assert!(a.match_attempts < b.match_attempts);
-            prop_assert!(a.matches_cached > 0 || a.matches_recomputed > 0);
-        }
-    }
-
-    /// The incremental structural-hash prefilter (DESIGN.md §9) must be
-    /// invisible in search outcomes: with `incremental_fingerprints` on, the
-    /// `SearchResult` is field-by-field identical to the materializing
-    /// engine — same best circuit, trajectory, and dedup counters — while
-    /// the dedup accounting identity holds and the confirm-mismatch canary
-    /// stays at zero.
-    #[test]
-    fn incremental_fingerprint_engine_is_bit_identical_to_materializing(
-        input in arb_clifford_t_circuit(3, 10),
-    ) {
-        let nam = quartz_opt::clifford_t_to_nam(&input);
-        let config = SearchConfig {
-            timeout: Duration::from_secs(60),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        prop_assert!(config.incremental_fingerprints, "prefilter must default on");
-        let fast = Optimizer::with_index(shared_nam_index(), config.clone());
-        let slow = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { incremental_fingerprints: false, ..config },
-        );
-        let a = fast.optimize(&nam);
-        let b = slow.optimize(&nam);
-        prop_assert_eq!(&a.best_circuit, &b.best_circuit);
-        prop_assert_eq!(a.best_cost, b.best_cost);
-        prop_assert_eq!(a.initial_cost, b.initial_cost);
-        prop_assert_eq!(a.iterations, b.iterations);
-        prop_assert_eq!(a.circuits_seen, b.circuits_seen);
-        prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.match_attempts, b.match_attempts);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        prop_assert_eq!(trace_a, trace_b);
-        // Dedup accounting: every hit is either a fast reject or a
-        // materialized confirmation, and nothing slips past the canary.
-        prop_assert_eq!(a.dedup_hits, a.fp_fast_rejects + a.dedup_hits_materialized);
-        prop_assert_eq!(a.materializations_avoided, a.fp_fast_rejects);
-        prop_assert_eq!(a.fp_confirm_mismatches, 0);
-        // The materializing engine never touches the fast path.
-        prop_assert_eq!(b.fp_fast_rejects, 0);
-        prop_assert_eq!(b.materializations_avoided, 0);
-        prop_assert_eq!(b.fp_confirm_mismatches, 0);
-        prop_assert_eq!(b.dedup_hits_materialized, b.dedup_hits);
-    }
-
-    /// The deferred-materialization engine (DESIGN.md §13) must be invisible
-    /// in search outcomes: admitting first-sight candidates on
-    /// (cost, hash, delta) alone and materializing only at dequeue produces
-    /// a `SearchResult` field-by-field identical to the eager engine — for
-    /// random circuits, every cost model (including non-additive depth), and
-    /// both sequential and batched-parallel expansion.
+    /// The differential test of the production engine (DESIGN.md §2.5):
+    /// the deferred engine — indexed dispatch, derived contexts, the match
+    /// cache, hash previews, and deferred materialization — against the
+    /// eager reference oracle of `quartz_opt::reference`, which writes
+    /// Algorithm 2 out literally. For random circuits, every cost model
+    /// (including non-additive depth), threads {1, 2}, and batch sizes
+    /// {1, 4}, every outcome field must be equal, with the confirmation
+    /// canary at zero.
     #[test]
     fn deferred_engine_is_bit_identical_to_eager(
         input in arb_clifford_t_circuit(3, 10),
@@ -314,7 +226,6 @@ proptest! {
         threads in 1usize..3,
         batch_pick in 0usize..2,
     ) {
-        let batch_size = [1usize, 4][batch_pick];
         let cost_model = [
             CostModel::GateCount,
             CostModel::MultiQubitGateCount,
@@ -327,40 +238,31 @@ proptest! {
             max_iterations: 8,
             cost_model,
             num_threads: threads,
-            batch_size,
+            batch_size: [1usize, 4][batch_pick],
             ..SearchConfig::default()
         };
-        prop_assert!(config.deferred_materialization, "deferral must default on");
-        let deferred = Optimizer::with_index(shared_nam_index(), config.clone());
-        let eager = Optimizer::with_index(
-            shared_nam_index(),
-            SearchConfig { deferred_materialization: false, ..config },
-        );
-        let a = deferred.optimize(&nam);
-        let b = eager.optimize(&nam);
+        let index = shared_nam_index();
+        let a = Optimizer::with_index(Arc::clone(&index), config.clone()).optimize(&nam);
+        let b = reference::optimize(index.transformations(), &config, &nam);
         prop_assert_eq!(&a.best_circuit, &b.best_circuit);
         prop_assert_eq!(a.best_cost, b.best_cost);
         prop_assert_eq!(a.initial_cost, b.initial_cost);
         prop_assert_eq!(a.iterations, b.iterations);
         prop_assert_eq!(a.circuits_seen, b.circuits_seen);
         prop_assert_eq!(a.dedup_hits, b.dedup_hits);
-        prop_assert_eq!(a.fp_fast_rejects, b.fp_fast_rejects);
-        prop_assert_eq!(a.match_attempts, b.match_attempts);
-        prop_assert_eq!(a.match_skips, b.match_skips);
-        prop_assert_eq!(a.ctx_rebuilds, b.ctx_rebuilds);
-        prop_assert_eq!(a.ctx_derives, b.ctx_derives);
         let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
         let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
         prop_assert_eq!(trace_a, trace_b);
-        // Canaries and accounting on both engines.
+        // Single-engine effort facts: only the root is rebuilt and fully
+        // matched, every later dequeue is derived from a deferred entry, and
+        // the preview never disagrees with the materialized hash.
         prop_assert_eq!(a.fp_confirm_mismatches, 0);
-        prop_assert_eq!(b.fp_confirm_mismatches, 0);
-        prop_assert_eq!(a.dedup_hits, a.fp_fast_rejects + a.dedup_hits_materialized);
-        // Deferral only ever materializes a subset of what it enqueued; the
-        // eager engine defers nothing.
+        prop_assert_eq!(a.ctx_rebuilds, 1);
+        prop_assert_eq!(a.ctx_derives, a.iterations - 1);
+        prop_assert_eq!(a.dequeue_materializations, a.ctx_derives);
         prop_assert!(a.dequeue_materializations <= a.materializations_deferred);
-        prop_assert_eq!(b.materializations_deferred, 0);
-        prop_assert_eq!(b.dequeue_materializations, 0);
+        prop_assert!(a.fp_fast_rejects <= a.dedup_hits);
+        prop_assert!(a.match_attempts <= b.match_attempts);
     }
 
     #[test]
@@ -398,7 +300,7 @@ fn reachable_rewrites(ctx: &MatchContext, xforms: &[Transformation]) -> Vec<Circ
 
 /// Equivalence of derived and freshly-built match contexts along a search
 /// run: starting from a redundant circuit, repeatedly apply the first
-/// available rewrite through `MatchContext::derive` and assert after *every*
+/// available rewrite through `MatchContext::derive_with_footprint` and assert after *every*
 /// step that the derived context finds exactly the matches a context rebuilt
 /// from the rewritten sequence finds (compared through the rewrites they
 /// induce, which also pins qubit maps and parameter bindings).
@@ -443,7 +345,7 @@ fn derived_contexts_match_rebuilt_contexts_along_a_search_run() {
             }
             if let Some(m) = ctx.find_matches(&xform.target).into_iter().next() {
                 let delta = ctx.delta_for(xform, &m).expect("instantiable rewrite");
-                ctx = ctx.derive(&delta);
+                ctx = ctx.derive_with_footprint(&delta).0;
                 steps += 1;
                 continue 'walk;
             }
@@ -460,7 +362,7 @@ fn derived_contexts_match_rebuilt_contexts_along_a_search_run() {
 /// the search threads it through `QueueEntry::shash`) must agree at every
 /// step with a hash computed from scratch — and, because the hash is
 /// order-invariant, with the hash of the freshly *canonicalized* child
-/// circuit, which is exactly what the materializing engine would key on.
+/// circuit, which is exactly what the reference oracle keys on.
 #[test]
 fn incremental_hashes_track_fresh_hashes_along_a_derive_chain() {
     let index = shared_nam_index();
@@ -562,7 +464,7 @@ fn transformations_from_generated_sets_preserve_semantics_when_applied() {
 /// results with equal summaries are "bit-identical" in the sense of the
 /// service determinism contract (DESIGN.md §6/§10).
 #[allow(clippy::type_complexity)]
-fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usize>, [usize; 12]) {
+fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usize>, [usize; 10]) {
     (
         r.best_circuit.clone(),
         [
@@ -583,9 +485,7 @@ fn outcome_fields(r: &quartz_opt::SearchResult) -> (Circuit, [usize; 5], Vec<usi
             r.cache_invalidate_nodes,
             r.scoped_rematches,
             r.fp_fast_rejects,
-            r.materializations_avoided,
             r.fp_confirm_mismatches,
-            r.dedup_hits_materialized,
         ],
     )
 }
@@ -663,7 +563,7 @@ proptest! {
     }
 }
 
-/// The same NAM (2, 2) library resolved through a sharded content-addressed
+/// The same NAM (2, 2, 2) library resolved through a sharded content-addressed
 /// registry (DESIGN.md §12.4): packed as a v2 artifact, split into two
 /// shards, published, and loaded back through [`LibraryCache::with_registry`]
 /// — so the returned index went through the whole lazy shard-routing path.
@@ -673,7 +573,7 @@ fn registry_nam_index() -> Arc<quartz_opt::TransformationIndex> {
     use std::sync::OnceLock;
     static INDEX: OnceLock<Arc<quartz_opt::TransformationIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
-        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 1)).run();
+        let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 2)).run();
         let library = Library::with_format("Nam", set, true, FORMAT_VERSION_V2);
         let key = RegistryKey::from_header(library.header());
         let dir =

@@ -31,6 +31,7 @@ use quartz_opt::{
     AdmissionError, LibraryCache, LoadedLibrary, Optimizer, RequestId, RequestState,
     ServiceRequest, ServiceScheduler,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
 use std::time::Duration;
@@ -87,6 +88,11 @@ struct State {
 
 struct Shared {
     state: Mutex<State>,
+    /// Client threads blocked acquiring `state`. The stepper hands the lock
+    /// over while this is nonzero: `Mutex` is not fair, and a stepper that
+    /// re-locks straight after unlocking can starve every status, cancel,
+    /// and admission call for as long as a request keeps running.
+    waiting: AtomicUsize,
     /// Signaled when work arrives or shutdown begins.
     work: Condvar,
     /// Signaled after every scheduler step and every terminal transition.
@@ -135,6 +141,7 @@ impl Daemon {
                 events: Vec::new(),
                 stop: false,
             }),
+            waiting: AtomicUsize::new(0),
             work: Condvar::new(),
             progress: Condvar::new(),
         });
@@ -297,7 +304,10 @@ impl Daemon {
     }
 
     fn lock(&self) -> std::sync::MutexGuard<'_, State> {
-        self.shared.state.lock().expect("daemon lock poisoned")
+        self.shared.waiting.fetch_add(1, Ordering::SeqCst);
+        let state = self.shared.state.lock();
+        self.shared.waiting.fetch_sub(1, Ordering::SeqCst);
+        state.expect("daemon lock poisoned")
     }
 }
 
@@ -342,8 +352,13 @@ fn stepper_loop(shared: &Shared) {
         });
         shared.progress.notify_all();
         // Release the lock between steps so admissions, cancels, and
-        // status queries land on step boundaries; re-acquire for the next.
+        // status queries land on step boundaries, and let every client
+        // thread already waiting for it go first; then re-acquire for the
+        // next step.
         drop(state);
+        while shared.waiting.load(Ordering::SeqCst) > 0 {
+            thread::yield_now();
+        }
         state = shared.state.lock().expect("daemon lock poisoned");
     }
 }

@@ -316,13 +316,9 @@ pub struct Outcome {
     pub scoped_rematches: usize,
     /// Duplicates rejected before materialization.
     pub fp_fast_rejects: usize,
-    /// Materializations the fast-reject path skipped.
-    pub materializations_avoided: usize,
-    /// Fast-path first-sight claims contradicted after materialization
-    /// (invariant: always 0).
+    /// Admission-time hash previews contradicted by the dequeue-time
+    /// from-scratch hash (invariant: always 0).
     pub fp_confirm_mismatches: usize,
-    /// Duplicates detected after materialization.
-    pub dedup_hits_materialized: usize,
 }
 
 impl Outcome {
@@ -345,9 +341,7 @@ impl Outcome {
             cache_invalidate_nodes: result.cache_invalidate_nodes,
             scoped_rematches: result.scoped_rematches,
             fp_fast_rejects: result.fp_fast_rejects,
-            materializations_avoided: result.materializations_avoided,
             fp_confirm_mismatches: result.fp_confirm_mismatches,
-            dedup_hits_materialized: result.dedup_hits_materialized,
         }
     }
 
@@ -412,16 +406,8 @@ impl Outcome {
                 Json::Int(self.fp_fast_rejects as i128),
             ),
             (
-                "materializations_avoided".to_string(),
-                Json::Int(self.materializations_avoided as i128),
-            ),
-            (
                 "fp_confirm_mismatches".to_string(),
                 Json::Int(self.fp_confirm_mismatches as i128),
-            ),
-            (
-                "dedup_hits_materialized".to_string(),
-                Json::Int(self.dedup_hits_materialized as i128),
             ),
         ])
     }
@@ -457,9 +443,7 @@ impl Outcome {
             cache_invalidate_nodes: require_usize(json, "cache_invalidate_nodes")?,
             scoped_rematches: require_usize(json, "scoped_rematches")?,
             fp_fast_rejects: require_usize(json, "fp_fast_rejects")?,
-            materializations_avoided: require_usize(json, "materializations_avoided")?,
             fp_confirm_mismatches: require_usize(json, "fp_confirm_mismatches")?,
-            dedup_hits_materialized: require_usize(json, "dedup_hits_materialized")?,
         })
     }
 }

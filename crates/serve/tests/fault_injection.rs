@@ -29,7 +29,7 @@ fn shared_index() -> Arc<TransformationIndex> {
 
 /// The one search configuration both the servers and the standalone
 /// reference runs use — outcome comparisons are meaningful only when the
-/// engine knobs agree.
+/// search policy (cost model, γ, queue bounds) agrees.
 fn search_config() -> SearchConfig {
     DaemonConfig::default().search
 }
@@ -65,6 +65,24 @@ fn multi_motif_qasm() -> String {
             qasm.push_str(&format!(
                 "cx q[{a}],q[{b}];\nx q[{b}];\ncx q[{a}],q[{b}];\nx q[{b}];\n"
             ));
+        }
+    }
+    qasm
+}
+
+/// A request that can neither improve nor exhaust its frontier while a test
+/// runs: on each of eight disjoint qubit triples, one X rides the target
+/// wire of eight CNOTs whose two controls alternate. The test index has no
+/// rewrite that shrinks it (equal CNOTs are never adjacent, and only one X
+/// shares each wire), but the X commutes through every CNOT target, so the
+/// equal-cost frontier spans 9^8 distinct circuits.
+fn endless_qasm() -> String {
+    let mut qasm = String::from("OPENQASM 2.0;\ninclude \"qelib1.inc\";\nqreg q[24];\n");
+    for group in 0..8 {
+        let (a, b, t) = (3 * group, 3 * group + 1, 3 * group + 2);
+        qasm.push_str(&format!("x q[{t}];\n"));
+        for _ in 0..4 {
+            qasm.push_str(&format!("cx q[{a}],q[{t}];\ncx q[{b}],q[{t}];\n"));
         }
     }
     qasm
@@ -186,11 +204,13 @@ fn queue_full_backpressure_is_typed_and_recoverable() {
     let client = Client::new(server.addr());
 
     // Fill the only slot with an unbudgeted request (runs until cancelled).
-    let mut hog = SubmitRequest::new(multi_motif_qasm());
+    let mut hog = SubmitRequest::new(endless_qasm());
     hog.deadline_ms = None;
     let hog_id = client.submit(&hog).expect("first submit fits");
+    let hog_running = || client.status(hog_id).expect("status").state == RequestState::Running;
 
     // The next submission bounces with 429 and the capacity in the detail.
+    assert!(hog_running(), "the hog must hold the slot");
     let err = client.submit(&SubmitRequest::new(VICTIM_QASM));
     match err {
         Err(ClientError::Server { status, body }) => {
@@ -202,6 +222,10 @@ fn queue_full_backpressure_is_typed_and_recoverable() {
     }
 
     // Cancelling the hog frees the slot; admission works again.
+    assert!(
+        hog_running(),
+        "the hog must still be running to be cancelled"
+    );
     let cancel = client.cancel(hog_id).expect("cancel");
     assert_eq!(cancel.state, RequestState::Cancelled);
     let id = submit_victim(&client);

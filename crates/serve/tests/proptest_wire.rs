@@ -97,7 +97,7 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             any::<u32>(),
             prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 0..6),
         ),
-        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 13),
+        prop::collection::vec(any::<u32>().prop_map(|c| c as usize), 11),
     )
         .prop_map(|((best_qasm, bc, ic, it, seen, trace), counters)| Outcome {
             best_qasm,
@@ -116,9 +116,7 @@ fn arb_outcome() -> impl Strategy<Value = Outcome> {
             cache_invalidate_nodes: counters[7],
             scoped_rematches: counters[8],
             fp_fast_rejects: counters[9],
-            materializations_avoided: counters[10],
-            fp_confirm_mismatches: counters[11],
-            dedup_hits_materialized: counters[12],
+            fp_confirm_mismatches: counters[10],
         })
 }
 

@@ -112,12 +112,10 @@ fn main() {
     );
     println!(
         "Incremental fingerprints: {} of {} duplicates rejected by the \
-         structural-hash preview ({:.1}% fast), {} materializations avoided, \
-         {} confirm mismatches",
+         structural-hash preview ({:.1}% fast), {} confirm mismatches",
         result.fp_fast_rejects,
         result.dedup_hits,
         100.0 * result.fp_fast_reject_rate(),
-        result.materializations_avoided,
         result.fp_confirm_mismatches
     );
     if profile {
@@ -144,10 +142,6 @@ fn main() {
         .metric("dispatch_skip_rate", result.dispatch_skip_rate())
         .metric("dedup_hits", result.dedup_hits as f64)
         .metric("fp_fast_rejects", result.fp_fast_rejects as f64)
-        .metric(
-            "materializations_avoided",
-            result.materializations_avoided as f64,
-        )
         .metric("fp_confirm_mismatches", result.fp_confirm_mismatches as f64);
     if profile {
         let suite = report.suite(&format!("optimize/{name}/profile"));
