@@ -28,7 +28,10 @@
 //! cached` and `profile/cached` keys so the committed baseline stays
 //! comparable. With `--profile`, the single-thread run additionally records
 //! a per-phase timing breakdown (match/delta/γ-precheck/preview/
-//! canonicalize/fingerprint/dedup).
+//! canonicalize/fingerprint/dedup). Two micro-probes follow: seen-set probe
+//! cost per hasher, and convexity-check cost of the windowed walk against
+//! the dependency closure over the suite's root structural matches (with
+//! identical verdicts asserted).
 //!
 //! Usage: `cargo run --release -p quartz-bench --bin service_throughput
 //! [-- --quick | --scale full] [--timeout <secs>] [--n <n>] [--q <q>]
@@ -36,10 +39,10 @@
 
 use quartz_bench::report::{BenchReport, BENCH_SEARCH_FILE};
 use quartz_bench::{build_ecc_set, library_artifact_path, GateSetKind, Scale};
-use quartz_ir::Circuit;
+use quartz_ir::{Circuit, DependencyClosure, NodeId};
 use quartz_opt::{
-    reference, LibraryCache, LoadedLibrary, OptimizationService, Optimizer, SearchConfig,
-    SearchResult,
+    reference, LibraryCache, LoadedLibrary, MatchContext, OptimizationService, Optimizer,
+    SearchConfig, SearchResult,
 };
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -510,6 +513,59 @@ fn main() {
             .metric("fx_probe_secs", fx_secs)
             .metric("identity_probe_secs", id_secs)
             .metric("identity_speedup", fx_secs / id_secs.max(1e-12));
+    }
+
+    // -- Convexity check cost: windowed walk vs dependency closure ---------
+    // The engine re-validates every cached match's convexity once per
+    // expansion against a per-expansion dependency closure (DESIGN.md
+    // §8.4). Time that against the per-region windowed walk over the same
+    // regions — every root structural match of the suite — with the
+    // closure build charged to the closure, and require identical verdicts.
+    {
+        let (mut regions, mut convex) = (0usize, 0usize);
+        let (mut walk_secs, mut closure_secs) = (0.0f64, 0.0f64);
+        for circuit in &batch {
+            let ctx = MatchContext::new(circuit);
+            let matches: Vec<Vec<NodeId>> = generated
+                .candidates_for(ctx.dag().gate_histogram())
+                .into_iter()
+                .flat_map(|id| ctx.find_matches_structural(&generated.transformations()[id].target))
+                .map(|m| m.instruction_map)
+                .collect();
+            let start = Instant::now();
+            let walk: Vec<bool> = matches
+                .iter()
+                .map(|region| std::hint::black_box(ctx.dag().is_convex(region)))
+                .collect();
+            walk_secs += start.elapsed().as_secs_f64();
+            let start = Instant::now();
+            let closure = DependencyClosure::new(ctx.dag());
+            let fast: Vec<bool> = matches
+                .iter()
+                .map(|region| std::hint::black_box(closure.is_convex(region)))
+                .collect();
+            closure_secs += start.elapsed().as_secs_f64();
+            assert_eq!(
+                walk, fast,
+                "the dependency closure disagreed with the windowed walk on a convexity verdict"
+            );
+            regions += matches.len();
+            convex += walk.iter().filter(|&&c| c).count();
+        }
+        println!(
+            "\nConvexity checks ({regions} root structural matches, {convex} convex): \
+             windowed walk {:.2?}, closure {:.2?} ({:.1}x), identical verdicts",
+            Duration::from_secs_f64(walk_secs),
+            Duration::from_secs_f64(closure_secs),
+            walk_secs / closure_secs.max(1e-12),
+        );
+        report
+            .suite("convexity_probe")
+            .metric("regions_checked", regions as f64)
+            .metric("convex_regions", convex as f64)
+            .metric("walk_secs", walk_secs)
+            .metric("closure_secs", closure_secs)
+            .metric("closure_speedup", walk_secs / closure_secs.max(1e-12));
     }
 
     // Verifier query timings (paper §4): the same representative identities

@@ -424,11 +424,12 @@ impl CircuitDag {
     /// increase along wire edges, so any path that leaves the region and
     /// re-enters it runs entirely through nodes whose position is below the
     /// region's maximum. The search therefore explores only the region's
-    /// position *window* instead of the whole reachable set — for the
-    /// wire-local regions the matcher produces this is near-constant, where
-    /// the naive descendants ∩ ancestors intersection walks O(circuit).
-    /// This check sits on the optimizer's hottest path (once per cached or
-    /// enumerated structural match).
+    /// position *window* instead of the whole reachable set. The window is
+    /// small for wire-connected regions but spans up to the whole circuit
+    /// for wire-disconnected ones, whose members can sit arbitrarily far
+    /// apart. The matcher's full enumeration and the splice precondition use
+    /// this walk; the optimizer's per-expansion re-validation of cached
+    /// matches uses a [`DependencyClosure`] instead (DESIGN.md §8.4).
     pub fn is_convex(&self, region: &[NodeId]) -> bool {
         let hi = region
             .iter()
@@ -856,6 +857,154 @@ impl CircuitDag {
     }
 }
 
+/// The dependency closure of one [`CircuitDag`]: the strict ancestors and
+/// strict descendants of every live node, as bitsets over
+/// [`CircuitDag::topo_position`]s.
+///
+/// Built in one forward and one backward sweep of the cached topological
+/// order (O(n²/64) words for n gates), after which
+/// [`DependencyClosure::is_convex`] decides convexity of *any* region in
+/// O(|region| · window/64) word operations, where the window is the
+/// region's span of topological positions — with no graph walk and no
+/// hashing. That is what makes it the right tool when many regions of one
+/// DAG are checked at once and some of them span the whole circuit (the
+/// optimizer re-validates every cached match of an expansion against one
+/// closure, DESIGN.md §8.4). It is a snapshot: a splice invalidates it, and
+/// [`DependencyClosure::rebuild`] refreshes it in place, reusing its
+/// buffers.
+///
+/// # Examples
+///
+/// ```
+/// use quartz_ir::{Circuit, CircuitDag, DependencyClosure, Gate, Instruction};
+///
+/// // h q0; cx q0, q1; h q1 — {h q0, h q1} skips the CNOT between them.
+/// let mut c = Circuit::new(2, 0);
+/// c.push(Instruction::new(Gate::H, vec![0], vec![]));
+/// c.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
+/// c.push(Instruction::new(Gate::H, vec![1], vec![]));
+/// let dag = CircuitDag::from_circuit(&c);
+/// let ids = dag.topo_order().to_vec();
+/// let closure = DependencyClosure::new(&dag);
+/// assert!(!closure.is_convex(&[ids[0], ids[2]]));
+/// assert!(closure.is_convex(&[ids[0], ids[1]]));
+/// assert_eq!(closure.is_convex(&[ids[0], ids[2]]), dag.is_convex(&[ids[0], ids[2]]));
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct DependencyClosure {
+    /// 64-bit words per bitset row: ⌈gate count / 64⌉.
+    words: usize,
+    /// Row `i` (words `i * words .. (i + 1) * words`) holds the positions
+    /// of the strict ancestors of the node at topological position `i`;
+    /// only bits below `i` can be set.
+    ancestors: Vec<u64>,
+    /// Row `i` holds the positions of the strict descendants of the node
+    /// at position `i`; only bits above `i` can be set.
+    descendants: Vec<u64>,
+    /// Slab-indexed topological position of every live node of the DAG the
+    /// closure was built from (`u32::MAX` for free slots).
+    position: Vec<u32>,
+}
+
+impl DependencyClosure {
+    /// Builds the closure of `dag`.
+    pub fn new(dag: &CircuitDag) -> Self {
+        let mut closure = DependencyClosure::default();
+        closure.rebuild(dag);
+        closure
+    }
+
+    /// Recomputes the closure for `dag`, reusing this closure's buffers.
+    pub fn rebuild(&mut self, dag: &CircuitDag) {
+        let n = dag.topo.len();
+        let words = n.div_ceil(64);
+        self.words = words;
+        self.position.clear();
+        self.position.resize(dag.slots.len(), u32::MAX);
+        for (pos, &id) in dag.topo.iter().enumerate() {
+            self.position[id.index()] = pos as u32;
+        }
+        for rows in [&mut self.ancestors, &mut self.descendants] {
+            rows.clear();
+            rows.resize(n * words, 0);
+        }
+        // Forward sweep: a node's ancestors are its wire predecessors and
+        // their ancestors. Rows below `pos` are final, and a predecessor at
+        // position j has ancestor bits only in words 0..=j/64.
+        for (pos, &id) in dag.topo.iter().enumerate() {
+            let (done, rest) = self.ancestors.split_at_mut(pos * words);
+            let row = &mut rest[..words];
+            for &p in dag.node(id).preds.iter().flatten() {
+                let j = self.position[p.index()] as usize;
+                let upto = j / 64 + 1;
+                let src = &done[j * words..j * words + upto];
+                for (dst, &bits) in row[..upto].iter_mut().zip(src) {
+                    *dst |= bits;
+                }
+                row[j / 64] |= 1 << (j % 64);
+            }
+        }
+        // Backward sweep, symmetrically: rows above `pos` are final, and a
+        // successor at position j has descendant bits only in words
+        // j/64..words.
+        for (pos, &id) in dag.topo.iter().enumerate().rev() {
+            let (head, done) = self.descendants.split_at_mut((pos + 1) * words);
+            let row = &mut head[pos * words..];
+            for &s in dag.node(id).succs.iter().flatten() {
+                let j = self.position[s.index()] as usize;
+                let from = j / 64;
+                let base = (j - pos - 1) * words;
+                let src = &done[base + from..base + words];
+                for (dst, &bits) in row[from..].iter_mut().zip(src) {
+                    *dst |= bits;
+                }
+                row[from] |= 1 << (j % 64);
+            }
+        }
+    }
+
+    /// Returns `true` when `region` is convex in the DAG the closure was
+    /// built from — the same verdict as [`CircuitDag::is_convex`].
+    ///
+    /// A region R is convex iff (⋃ desc(r) ∩ ⋃ anc(r)) ⊆ R over r ∈ R: a
+    /// node outside R that descends from one member and is an ancestor of
+    /// another lies on a path that leaves R and re-enters it, and every
+    /// such path has one. Such a node x sits strictly between its two
+    /// members in topological position, so only the words covering
+    /// [min pos(R), max pos(R)] are intersected. An empty region is convex.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a region node is not live in the closure's DAG.
+    pub fn is_convex(&self, region: &[NodeId]) -> bool {
+        let pos = |id: &NodeId| -> usize {
+            match self.position.get(id.index()) {
+                Some(&p) if p != u32::MAX => p as usize,
+                _ => panic!("node {id} is not live in the closure's DAG"),
+            }
+        };
+        let Some(lo) = region.iter().map(pos).min() else {
+            return true;
+        };
+        let hi = region.iter().map(pos).max().expect("region is non-empty");
+        for w in lo / 64..=hi / 64 {
+            let (mut downstream, mut upstream, mut own) = (0u64, 0u64, 0u64);
+            for id in region {
+                let r = pos(id);
+                downstream |= self.descendants[r * self.words + w];
+                upstream |= self.ancestors[r * self.words + w];
+                if r / 64 == w {
+                    own |= 1 << (r % 64);
+                }
+            }
+            if downstream & upstream & !own != 0 {
+                return false;
+            }
+        }
+        true
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1112,8 +1261,9 @@ mod tests {
         assert!(dag.is_convex(&[ids[1], ids[2]]));
     }
 
-    /// The windowed convexity check must agree with the definitional
-    /// descendants ∩ ancestors formulation on every 2-subset of a circuit
+    /// The windowed and closure convexity checks must agree with the
+    /// definitional descendants ∩ ancestors formulation on every 2-subset
+    /// of a circuit
     /// with a branchy dependency structure — including after splices, when
     /// cached positions are no longer the original sequence order.
     #[test]
@@ -1134,13 +1284,20 @@ mod tests {
         };
         let check_all_pairs = |dag: &CircuitDag| {
             let ids = dag.topo_order().to_vec();
+            let closure = DependencyClosure::new(dag);
             for (i, &a) in ids.iter().enumerate() {
                 for &b in &ids[i..] {
                     let region = if a == b { vec![a] } else { vec![a, b] };
+                    let expected = reference(dag, &region);
                     assert_eq!(
                         dag.is_convex(&region),
-                        reference(dag, &region),
+                        expected,
                         "windowed check diverged on {a}, {b}"
+                    );
+                    assert_eq!(
+                        closure.is_convex(&region),
+                        expected,
+                        "closure check diverged on {a}, {b}"
                     );
                 }
             }
@@ -1154,6 +1311,80 @@ mod tests {
         });
         dag.validate().unwrap();
         check_all_pairs(&dag);
+    }
+
+    #[test]
+    fn empty_dags_and_empty_regions_are_convex() {
+        let empty = CircuitDag::from_circuit(&Circuit::new(3, 0));
+        assert!(DependencyClosure::new(&empty).is_convex(&[]));
+        assert!(empty.is_convex(&[]));
+        let dag = CircuitDag::from_circuit(&sample());
+        assert!(DependencyClosure::new(&dag).is_convex(&[]));
+        assert!(dag.is_convex(&[]));
+    }
+
+    /// The live nodes whose positions are set in row `pos` of `rows`.
+    fn row_set(closure: &DependencyClosure, rows: &[u64], pos: usize) -> HashSet<NodeId> {
+        let row = &rows[pos * closure.words..(pos + 1) * closure.words];
+        closure
+            .position
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| p != u32::MAX && row[p as usize / 64] >> (p % 64) & 1 == 1)
+            .map(|(slot, _)| NodeId(slot as u32))
+            .collect()
+    }
+
+    /// Every closure row must equal the node's reachability set, across
+    /// several bitset words and after a splice reorders positions.
+    #[test]
+    fn closure_rows_equal_the_reachability_sets() {
+        let mut c = Circuit::new(4, 0);
+        let mut state = 7u32;
+        for _ in 0..150 {
+            state = state.wrapping_mul(1_103_515_245).wrapping_add(12_345);
+            let (a, b) = ((state >> 8) as usize % 4, (state >> 12) as usize % 4);
+            c.push(if a == b { h(a) } else { cnot(a, b) });
+        }
+        let mut dag = CircuitDag::from_circuit(&c);
+        for round in 0..2 {
+            let closure = DependencyClosure::new(&dag);
+            assert!(closure.words > 1, "the circuit must span several words");
+            for (pos, &id) in dag.topo_order().iter().enumerate() {
+                assert_eq!(
+                    row_set(&closure, &closure.ancestors, pos),
+                    dag.ancestors(&[id])
+                );
+                assert_eq!(
+                    row_set(&closure, &closure.descendants, pos),
+                    dag.descendants(&[id])
+                );
+            }
+            if round == 0 {
+                let mid = dag.topo_order()[70];
+                dag.splice(&SpliceDelta {
+                    region: vec![mid],
+                    replacement: vec![],
+                });
+            }
+        }
+    }
+
+    /// A rebuilt closure forgets the old DAG: after a splice frees a node,
+    /// the closure rebuilt for the spliced DAG refuses it.
+    #[test]
+    #[should_panic(expected = "not live")]
+    fn rebuilt_closure_rejects_removed_nodes() {
+        let mut dag = CircuitDag::from_circuit(&sample());
+        let mut closure = DependencyClosure::new(&dag);
+        let rz_node = dag.topo_order()[2];
+        assert!(closure.is_convex(&[rz_node]));
+        dag.splice(&SpliceDelta {
+            region: vec![rz_node],
+            replacement: vec![],
+        });
+        closure.rebuild(&dag);
+        closure.is_convex(&[rz_node]);
     }
 
     // Non-contiguity on a wire always implies non-convexity (the skipped

@@ -76,7 +76,7 @@ pub mod shash;
 pub use canon::canonicalize;
 pub use circuit::{Circuit, Instruction};
 pub use cost::{CostModel, DeltaCoster};
-pub use dag::{CircuitDag, NodeId, SpliceDelta, SpliceFootprint};
+pub use dag::{CircuitDag, DependencyClosure, NodeId, SpliceDelta, SpliceFootprint};
 pub use fx::{
     FxBuildHasher, FxHashMap, FxHashSet, FxHasher, IdentityBuildHasher, IdentityHashSet,
     IdentityHasher,

@@ -3,8 +3,8 @@
 
 use proptest::prelude::*;
 use quartz_ir::{
-    circuit_unitary, equivalent_up_to_phase, Circuit, CircuitDag, FingerprintContext, Gate,
-    GateSet, Instruction, ParamExpr, SpliceDelta, StructuralHash,
+    circuit_unitary, equivalent_up_to_phase, Circuit, CircuitDag, DependencyClosure,
+    FingerprintContext, Gate, GateSet, Instruction, NodeId, ParamExpr, SpliceDelta, StructuralHash,
 };
 
 /// Strategy producing a random instruction over `nq` qubits and `m` params
@@ -309,6 +309,74 @@ proptest! {
             prop_assert_eq!(hash.value(), canonical_hash.value());
         }
     }
+
+    /// The dependency-closure convexity check must return the windowed
+    /// walk's verdict on every region — empty, singletons, wire-disconnected
+    /// pairs, and random subsets — both on a fresh DAG and after random
+    /// single-node splices have moved topological positions around. The
+    /// circuits run past 64 gates, so regions straddle bitset words.
+    #[test]
+    fn closure_convexity_agrees_with_the_windowed_walk(
+        c in arb_circuit(4, 0, 150),
+        picks in prop::collection::vec(any::<u64>(), 24),
+        splices in prop::collection::vec((0usize..1024, 0usize..3), 1..4),
+    ) {
+        let mut dag = CircuitDag::from_circuit(&c);
+        assert_closure_agrees(&dag, &picks)?;
+        for (pick, shape) in splices {
+            if dag.gate_count() == 0 {
+                break;
+            }
+            let id = dag.topo_order()[pick % dag.gate_count()];
+            let qubits = dag.instruction(id).qubits.clone();
+            let replacement: Vec<Instruction> = match shape {
+                0 => vec![],
+                1 => qubits
+                    .iter()
+                    .map(|&q| Instruction::new(Gate::H, vec![q], vec![]))
+                    .collect(),
+                _ => vec![dag.instruction(id).clone(), dag.instruction(id).clone()],
+            };
+            dag.splice(&SpliceDelta { region: vec![id], replacement });
+            prop_assert_eq!(dag.validate(), Ok(()));
+            assert_closure_agrees(&dag, &picks)?;
+        }
+    }
+}
+
+/// Checks [`DependencyClosure::is_convex`] against [`CircuitDag::is_convex`]
+/// on the empty region, every singleton, and regions drawn by `picks`: a
+/// wire-disconnected pair and a random subset of a random 16-position
+/// window per pick.
+fn assert_closure_agrees(dag: &CircuitDag, picks: &[u64]) -> Result<(), TestCaseError> {
+    let closure = DependencyClosure::new(dag);
+    let ids = dag.topo_order();
+    let n = ids.len();
+    let mut regions: Vec<Vec<NodeId>> = vec![Vec::new()];
+    regions.extend(ids.iter().map(|&id| vec![id]));
+    if n > 0 {
+        for &pick in picks {
+            let (a, b) = (ids[pick as usize % n], ids[(pick >> 20) as usize % n]);
+            let qa = &dag.instruction(a).qubits;
+            if a != b && dag.instruction(b).qubits.iter().all(|q| !qa.contains(q)) {
+                regions.push(vec![a, b]);
+            }
+            let start = (pick >> 40) as usize % n;
+            let subset: Vec<NodeId> = (0..16)
+                .filter(|bit| pick >> bit & 1 == 1)
+                .filter_map(|bit| ids.get(start + bit).copied())
+                .collect();
+            regions.push(subset);
+        }
+    }
+    for region in &regions {
+        let verdict = closure.is_convex(region);
+        prop_assert!(
+            verdict == dag.is_convex(region),
+            "closure said {verdict} on {region:?}, the windowed walk disagrees"
+        );
+    }
+    Ok(())
 }
 
 /// Rebuilds `circuit` in a different topological order of its wire DAG

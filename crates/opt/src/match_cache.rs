@@ -11,7 +11,12 @@
 //! * A [`MatchCache`] stores, per transformation id, every **structural**
 //!   match of that transformation's target in the current circuit —
 //!   all matcher constraints except convexity, which is global and is
-//!   re-checked per use ([`MatchContext::is_match_convex`]).
+//!   re-checked per use. The search does that against one
+//!   [`quartz_ir::DependencyClosure`] per expansion, whose build the
+//!   search profile counts as `matching` (DESIGN.md §8.4); the closure's
+//!   verdict equals [`MatchContext::is_match_convex`]'s. Matches are
+//!   shared by pointer: a match carried into a child cache is an
+//!   `Arc::clone` of the parent's, never a copy (DESIGN.md §8.1).
 //! * [`MatchCache::derive`] produces the child circuit's cache from the
 //!   parent's: matches binding a removed or
 //!   inserted node are dropped; matches merely touching a *boundary* node
@@ -45,8 +50,8 @@
 //! new matches with work bounded by the pattern and its local bucket sizes.
 //! Convexity is *not* local — a splice can reconnect or sever dependency
 //! paths between far-apart nodes — which is exactly why the cache stores
-//! structural matches and the convexity check moves to use time, where the
-//! engine without caching performs it anyway (at the matcher's full depth).
+//! structural matches and the convexity check moves to use time, where a
+//! re-matching engine performs it anyway (at the matcher's full depth).
 //!
 //! The cache therefore serves, per dequeued circuit and per transformation,
 //! exactly the match set a full re-match would discover — which is what
@@ -56,8 +61,8 @@
 
 use crate::matcher::{Match, MatchContext};
 use quartz_gen::{IndexScratch, TransformationIndex};
+use quartz_ir::fx::FxHashSet;
 use quartz_ir::{NodeId, SpliceFootprint};
-use std::collections::HashSet;
 use std::sync::Arc;
 
 /// Statistics of one cache construction or derivation pass, folded into
@@ -86,15 +91,16 @@ pub struct CacheStats {
 /// Travels with the search's derivation chain: the frontier root builds one
 /// with [`MatchCache::build_for`], and every derived circuit gets its cache
 /// from [`MatchCache::derive`]. Entries are `Arc`-shared between parent and
-/// child caches, so a derivation clones O(#transformations) pointers plus
-/// only the entries it actually changes.
+/// child caches, and so is every match inside them: a derivation clones
+/// O(#transformations) pointers plus, for the entries it actually changes,
+/// one pointer per carried match — never a match itself.
 #[derive(Debug, Clone)]
 pub struct MatchCache {
     /// `entries[id]` holds every structural match of transformation `id`'s
     /// target in the current circuit. Complete for every id (ids whose
     /// pattern histogram the circuit cannot cover have no matches and an
     /// empty — shared — entry).
-    entries: Vec<Arc<Vec<Match>>>,
+    entries: Vec<Arc<Vec<Arc<Match>>>>,
     /// How many of `entries[id]`'s matches were discovered by the pass that
     /// produced *this* cache (as opposed to carried from the parent).
     /// Freshly recomputed matches are appended, so these are the trailing
@@ -121,7 +127,7 @@ impl MatchCache {
             stats.matches_recomputed += found.len();
             fresh[id] = found.len() as u32;
             if !found.is_empty() {
-                entries[id] = Arc::new(found);
+                entries[id] = Arc::new(found.into_iter().map(Arc::new).collect());
             }
         }
         (MatchCache { entries, fresh }, stats)
@@ -154,13 +160,13 @@ impl MatchCache {
         //    (a few hash lookups each; the matcher runs only for
         //    boundary-touching matches), and an entry is re-allocated only
         //    when something in it actually went stale.
-        let dead_set: HashSet<NodeId> = footprint
+        let dead_set: FxHashSet<NodeId> = footprint
             .removed
             .iter()
             .chain(&footprint.inserted)
             .copied()
             .collect();
-        let boundary_set: HashSet<NodeId> = footprint.boundary.iter().copied().collect();
+        let boundary_set: FxHashSet<NodeId> = footprint.boundary.iter().copied().collect();
         for (id, entry) in entries.iter_mut().enumerate() {
             let stale = |m: &Match| {
                 touches(m, &dead_set)
@@ -169,12 +175,13 @@ impl MatchCache {
             };
             // Single pass: the kept-vector is materialized lazily at the
             // first stale match, so clean entries stay shared and each
-            // match is evaluated exactly once.
-            let mut kept: Option<Vec<Match>> = None;
+            // match is evaluated exactly once. Survivors are carried by
+            // pointer.
+            let mut kept: Option<Vec<Arc<Match>>> = None;
             for (i, m) in entry.iter().enumerate() {
                 match (stale(m), &mut kept) {
                     (true, None) => kept = Some(entry[..i].to_vec()),
-                    (false, Some(kept)) => kept.push(m.clone()),
+                    (false, Some(kept)) => kept.push(Arc::clone(m)),
                     _ => {}
                 }
             }
@@ -242,15 +249,15 @@ impl MatchCache {
             // against carried survivors (a revalidated match can also
             // touch the footprint) on the node map, which identifies a
             // match uniquely.
-            let existing: HashSet<&[NodeId]> = entries[id]
+            let existing: FxHashSet<&[NodeId]> = entries[id]
                 .iter()
                 .map(|m| m.instruction_map.as_slice())
                 .collect();
             let mut found: Vec<Match> = Vec::new();
-            let mut seen_new: HashSet<Vec<NodeId>> = HashSet::new();
+            let mut seen_new: FxHashSet<Vec<NodeId>> = FxHashSet::default();
             let collect = |pins: &[(usize, NodeId)],
                            found: &mut Vec<Match>,
-                           seen_new: &mut HashSet<Vec<NodeId>>,
+                           seen_new: &mut FxHashSet<Vec<NodeId>>,
                            scoped_runs: &mut usize| {
                 *scoped_runs += 1;
                 for m in child.find_matches_structural_pinned(target, pins) {
@@ -293,15 +300,16 @@ impl MatchCache {
             fresh[id] = found.len() as u32;
             if !found.is_empty() {
                 let mut merged = (*entries[id]).clone();
-                merged.extend(found);
+                merged.extend(found.into_iter().map(Arc::new));
                 entries[id] = Arc::new(merged);
             }
         }
         (MatchCache { entries, fresh }, stats)
     }
 
-    /// The cached structural matches of transformation `id`.
-    pub fn matches(&self, id: usize) -> &[Match] {
+    /// The cached structural matches of transformation `id`, each shared by
+    /// pointer with every cache it was carried into.
+    pub fn matches(&self, id: usize) -> &[Arc<Match>] {
         &self.entries[id]
     }
 
@@ -314,7 +322,7 @@ impl MatchCache {
 }
 
 /// Whether a match binds any node of `set`.
-fn touches(m: &Match, set: &HashSet<NodeId>) -> bool {
+fn touches(m: &Match, set: &FxHashSet<NodeId>) -> bool {
     m.instruction_map.iter().any(|id| set.contains(id))
 }
 
@@ -368,6 +376,71 @@ mod tests {
             rebuilt.sort();
             assert_eq!(cached, rebuilt, "transformation {id} diverged");
         }
+    }
+
+    /// Every carried match of `derived` (the leading `carried(id)` entries)
+    /// must be the parent's allocation, not a copy, in parent order.
+    fn assert_carried_by_pointer(parent: &MatchCache, derived: &MatchCache) {
+        for id in 0..derived.entries.len() {
+            let carried = &derived.matches(id)[..derived.carried(id)];
+            let mut from_parent = parent.matches(id).iter();
+            for m in carried {
+                assert!(
+                    from_parent.any(|p| Arc::ptr_eq(p, m)),
+                    "transformation {id}: a carried match was copied, not shared"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn derive_shares_carried_matches_by_pointer() {
+        // H H H H on wire 0 and X X on wire 1. Cancelling the first H pair
+        // exercises all three ways a match is carried: the X X entry is
+        // untouched (the whole entry is shared), the surviving H H match is
+        // revalidated at the boundary and copied into a fresh entry, and —
+        // after an H X X H cancellation brings two H's together — a pinned
+        // discovery is merged behind carried matches.
+        let mut c = Circuit::new(2, 0);
+        for _ in 0..4 {
+            c.push(gate(Gate::H, &[0]));
+        }
+        c.push(gate(Gate::X, &[1]));
+        c.push(gate(Gate::X, &[1]));
+        let index = hx_index();
+        let ctx = MatchContext::new(&c);
+        let (cache, _) = MatchCache::build_for(&ctx, &index, &full_candidates(&index, &ctx));
+        let first = cache
+            .matches(0)
+            .iter()
+            .find(|m| m.instruction_map.iter().all(|n| n.index() < 2))
+            .expect("the (0,1) match")
+            .clone();
+        let delta = ctx.delta_for(&index.transformations()[0], &first).unwrap();
+        let (child, footprint) = ctx.derive_with_footprint(&delta);
+        let (derived, stats) = cache.derive(&child, &index, &footprint, &mut IndexScratch::new());
+        assert_eq!(stats.matches_invalidated, 2);
+        assert_eq!((derived.carried(0), derived.carried(1)), (1, 1));
+        assert_carried_by_pointer(&cache, &derived);
+        assert!(Arc::ptr_eq(&cache.entries[1], &derived.entries[1]));
+
+        let mut c = Circuit::new(2, 0);
+        c.push(gate(Gate::H, &[1]));
+        c.push(gate(Gate::H, &[1]));
+        c.push(gate(Gate::H, &[0]));
+        c.push(gate(Gate::X, &[0]));
+        c.push(gate(Gate::X, &[0]));
+        c.push(gate(Gate::H, &[0]));
+        let ctx = MatchContext::new(&c);
+        let (cache, _) = MatchCache::build_for(&ctx, &index, &full_candidates(&index, &ctx));
+        let xx = cache.matches(1)[0].clone();
+        let delta = ctx.delta_for(&index.transformations()[1], &xx).unwrap();
+        let (child, footprint) = ctx.derive_with_footprint(&delta);
+        let (derived, _) = cache.derive(&child, &index, &footprint, &mut IndexScratch::new());
+        assert_eq!(derived.matches(0).len(), 2, "one carried, one discovered");
+        assert_eq!(derived.carried(0), 1);
+        assert_carried_by_pointer(&cache, &derived);
+        assert_cache_matches_rebuild(&derived, &child, &index);
     }
 
     #[test]
@@ -623,6 +696,7 @@ mod tests {
             let (child, footprint) = ctx.derive_with_footprint(&delta);
             let (derived, _) = cache.derive(&child, &index, &footprint, &mut scratch);
             assert_cache_matches_rebuild(&derived, &child, &index);
+            assert_carried_by_pointer(&cache, &derived);
             ctx = child;
             cache = derived;
             steps += 1;

@@ -68,7 +68,9 @@ use crate::match_cache::MatchCache;
 use crate::matcher::{Match, MatchContext};
 use crate::xform::{canonicalize, Transformation};
 use quartz_gen::{IndexScratch, TransformationIndex};
-use quartz_ir::{Circuit, CircuitDag, IdentityHashSet, SpliceDelta, StructuralHash};
+use quartz_ir::{
+    Circuit, CircuitDag, DependencyClosure, IdentityHashSet, SpliceDelta, StructuralHash,
+};
 use rayon::prelude::*;
 use std::cell::RefCell;
 use std::cmp::Reverse;
@@ -154,9 +156,11 @@ impl SearchConfig {
 /// confirmation hashes, and the seen-set probes.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SearchProfile {
-    /// Enumerating structural matches: cache consultation, convexity
-    /// re-validation, and matcher runs (everything in the dispatch loop
-    /// that is not attributed to a finer phase below).
+    /// Enumerating structural matches: cache consultation and convexity
+    /// re-validation, including the expansion's dependency-closure build
+    /// (everything in the dispatch loop that is not attributed to a finer
+    /// phase below). Match-cache derivation runs before the loop and is
+    /// not counted here.
     pub matching: Duration,
     /// Building the instantiated [`SpliceDelta`] of each match.
     pub delta: Duration,
@@ -855,16 +859,16 @@ impl Optimizer {
         frozen_best: usize,
         seen: &IdentityHashSet,
     ) -> Expansion {
-        // Per-thread scratch: the index dispatch's visited set and the
-        // candidate-id buffer, reused across dequeues so the hot loop
-        // allocates nothing in steady state.
+        // Per-thread scratch: the index dispatch's visited set, the
+        // candidate-id buffer, and the dependency-closure bitsets, reused
+        // across dequeues so the hot loop allocates nothing in steady state.
         thread_local! {
-            static SCRATCH: RefCell<(IndexScratch, Vec<usize>)> =
-                RefCell::new((IndexScratch::new(), Vec::new()));
+            static SCRATCH: RefCell<(IndexScratch, Vec<usize>, DependencyClosure)> =
+                RefCell::new((IndexScratch::new(), Vec::new(), DependencyClosure::default()));
         }
         SCRATCH.with(|scratch| {
-            let (index_scratch, ids) = &mut *scratch.borrow_mut();
-            self.expand_entry_with_scratch(entry, frozen_best, seen, index_scratch, ids)
+            let (index_scratch, ids, closure) = &mut *scratch.borrow_mut();
+            self.expand_entry_with_scratch(entry, frozen_best, seen, index_scratch, ids, closure)
         })
     }
 
@@ -875,6 +879,7 @@ impl Optimizer {
         seen: &IdentityHashSet,
         index_scratch: &mut IndexScratch,
         ids: &mut Vec<usize>,
+        closure: &mut DependencyClosure,
     ) -> Expansion {
         let (state, rebuilt, cache_stats) = match &entry.ctx {
             CtxSource::Root(circuit) => {
@@ -1007,13 +1012,20 @@ impl Optimizer {
             });
         };
         let t_loop = profiling.then(Instant::now);
+        // Matches come from the cache; convexity — the one non-local match
+        // property — is re-validated against the current DAG through its
+        // dependency closure, built once per expansion: wire-disconnected
+        // patterns make most checked regions span the whole circuit, where
+        // a per-match graph walk would cost O(circuit) each (DESIGN.md
+        // §8.4). The closure is scratch, never part of the shared state.
+        closure.rebuild(ctx.dag());
         for &id in ids.iter() {
             let xform = &self.index.transformations()[id];
-            // Matches come from the cache; convexity — the one non-local
-            // match property — is re-validated against the current DAG.
             matches_cached += state.cache.carried(id);
             for m in state.cache.matches(id) {
-                if ctx.is_match_convex(m) {
+                let convex = closure.is_convex(&m.instruction_map);
+                debug_assert_eq!(convex, ctx.is_match_convex(m), "closure convexity diverged");
+                if convex {
                     consider(xform, m);
                 }
             }
