@@ -40,36 +40,19 @@
 //!     seeded-mutation check greps the printed location out of the audit
 //!     report).
 //!
-//! quartz-lib repack --in FILE --out FILE [--format 1|2]
-//!     Re-encode an artifact in another format version (default: v2, the
-//!     lazy-loadable class-table format of DESIGN.md §12). Shards cannot be
-//!     repacked — merge them first.
-//!
-//! quartz-lib shard --in FILE --count K --out-prefix PREFIX
-//!     Split a whole artifact into K shard artifacts
-//!     (PREFIX.shard0.qtzl … PREFIX.shard{K-1}.qtzl), each owning whole
-//!     anchor buckets of the parent's prebuilt index. Prints the written
-//!     paths on stdout.
-//!
-//! quartz-lib merge --out FILE SHARD...
-//!     Reassemble a complete shard group into the parent artifact and
-//!     verify the result against the parent checksum recorded in the
-//!     shards — the output is byte-identical to the original.
-//!
-//! quartz-lib registry add --root DIR FILE...
-//!     Verify and publish one whole artifact (or one complete shard group)
-//!     into the content-addressed registry at DIR, keyed by
-//!     (gate set, n, q, m, generator version). Audit sidecars next to the
-//!     inputs are published too.
+//! quartz-lib registry add --root DIR FILE
+//!     Verify and publish one artifact into the content-addressed
+//!     registry at DIR (DESIGN.md §12.2), keyed by (gate set, n, q, m,
+//!     generator version). An audit sidecar next to the input is
+//!     published too.
 //!
 //! quartz-lib registry get --root DIR --gate-set NAME --n N --q Q [--m M]
 //!                         [--generator-version V]
-//!     Resolve a key to its verified blob paths (printed on stdout, one
-//!     per line, shard-sequence order). Every blob is re-verified —
-//!     header, checksum, and all v2 digests — before it is reported.
+//!     Resolve a key to its blob path (printed on stdout). The blob's
+//!     header and checksum are re-verified before it is reported.
 //!
 //! quartz-lib registry list --root DIR
-//!     List every published key with its blob layout.
+//!     List every published key with its blob.
 //!
 //! quartz-lib registry gc --root DIR
 //!     Remove unreferenced blobs and leftover staging files.
@@ -79,13 +62,12 @@
 //! error.
 
 use quartz_gen::{
-    merge_shards, prune, shard_library, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, GenConfig,
-    Generator, Library, LibraryReader, Registry, RegistryKey, FORMAT_VERSION, FORMAT_VERSION_V2,
-    GENERATOR_VERSION,
+    prune, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, GenConfig, Generator, Library,
+    LibraryReader, Registry, RegistryKey, GENERATOR_VERSION,
 };
 use quartz_ir::{Circuit, GateSet, Instruction, ALL_GATES};
 use quartz_verify::Verifier;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -102,9 +84,6 @@ fn main() -> ExitCode {
         "verify-checksum" => verify_checksum(rest),
         "audit" => audit(rest),
         "mutate" => mutate(rest),
-        "repack" => repack(rest),
-        "shard" => shard(rest),
-        "merge" => merge(rest),
         "registry" => registry_command(rest),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
@@ -136,10 +115,7 @@ const USAGE: &str = "usage:
   quartz-lib verify-checksum FILE [--deep]
   quartz-lib audit FILE [--json] [--no-cache] [--write-stamp] [--expect-full-cache] [--threads N]
   quartz-lib mutate --in FILE --out FILE
-  quartz-lib repack --in FILE --out FILE [--format 1|2]
-  quartz-lib shard --in FILE --count K --out-prefix PREFIX
-  quartz-lib merge --out FILE SHARD...
-  quartz-lib registry add --root DIR FILE...
+  quartz-lib registry add --root DIR FILE
   quartz-lib registry get --root DIR --gate-set NAME --n N --q Q [--m M] [--generator-version V]
   quartz-lib registry list --root DIR
   quartz-lib registry gc --root DIR";
@@ -353,25 +329,6 @@ fn inspect(args: &[String]) -> Result<(), Failure> {
         }
     );
     println!("  checksum:           {:#018x}", h.checksum);
-    if let Some(table) = reader.class_table() {
-        println!(
-            "  class table:        {} entries ({} bytes, lazy-loadable)",
-            table.classes.len(),
-            table.encoded_len()
-        );
-        if table.is_shard() {
-            println!(
-                "  shard:              {} of {} (parent: {} classes, {} transformations, \
-                 checksum {:#018x})",
-                table.shard_seq + 1,
-                table.shard_count,
-                table.parent_num_eccs,
-                table.parent_num_xforms,
-                table.parent_checksum
-            );
-            println!("  index slice:        {} parent ids", table.xform_ids.len());
-        }
-    }
     reader.verify_checksum().map_err(runtime)?;
     if let Some(index) = reader.decode_index().map_err(runtime)? {
         println!("  transformations:    {}", index.len());
@@ -535,94 +492,6 @@ fn mutate(args: &[String]) -> Result<(), Failure> {
     )))
 }
 
-fn repack(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let input = args.required("--in")?.to_string();
-    let out = args.required("--out")?.to_string();
-    let format = match args.value_of("--format")? {
-        None => FORMAT_VERSION_V2,
-        Some("1") => FORMAT_VERSION,
-        Some("2") => FORMAT_VERSION_V2,
-        Some(other) => return Err(usage(format!("--format must be 1 or 2, got {other:?}"))),
-    };
-    args.finish()?;
-
-    let bytes = std::fs::read(&input).map_err(|e| runtime(format!("{input}: {e}")))?;
-    let reader = LibraryReader::new(&bytes).map_err(runtime)?;
-    if reader.class_table().is_some_and(|t| t.is_shard()) {
-        return Err(runtime(format!(
-            "{input}: shards carry a slice of their parent's index and cannot be repacked \
-             standalone — `quartz-lib merge` the group first"
-        )));
-    }
-    let library = Library::from_bytes(&bytes).map_err(runtime)?;
-    let header = library.header().clone();
-    let repacked = Library::with_format(
-        header.gate_set.clone(),
-        library.into_parts().0,
-        header.has_index(),
-        format,
-    );
-    repacked.save(&out).map_err(runtime)?;
-    eprintln!(
-        "repacked {input} (v{}) -> {out} (v{format}, {} bytes)",
-        header.format_version,
-        repacked.byte_len()
-    );
-    Ok(())
-}
-
-fn shard(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let input = args.required("--in")?.to_string();
-    let count = parse_number("--count", args.required("--count")?)?;
-    let prefix = args.required("--out-prefix")?.to_string();
-    args.finish()?;
-
-    let library = Library::load(&input).map_err(runtime)?;
-    let shards = shard_library(&library, count).map_err(runtime)?;
-    for (i, bytes) in shards.iter().enumerate() {
-        let path = format!("{prefix}.shard{i}.qtzl");
-        std::fs::write(&path, bytes).map_err(|e| runtime(format!("{path}: {e}")))?;
-        println!("{path}");
-    }
-    eprintln!(
-        "sharded {input} ({} classes) into {} artifacts",
-        library.header().num_eccs,
-        shards.len()
-    );
-    Ok(())
-}
-
-fn merge(args: &[String]) -> Result<(), Failure> {
-    let mut args = Args::new(args);
-    let out = args.required("--out")?.to_string();
-    let mut inputs = Vec::new();
-    while let Some(path) = args.positional() {
-        inputs.push(path.to_string());
-    }
-    args.finish()?;
-    if inputs.is_empty() {
-        return Err(usage("merge needs at least one shard artifact"));
-    }
-
-    let mut shards = Vec::with_capacity(inputs.len());
-    for path in &inputs {
-        shards.push(std::fs::read(path).map_err(|e| runtime(format!("{path}: {e}")))?);
-    }
-    let merged = merge_shards(&shards).map_err(runtime)?;
-    merged.save(&out).map_err(runtime)?;
-    eprintln!(
-        "merged {} shards -> {out} ({} classes, {} bytes, checksum {:#018x} matches the \
-         parent recorded in the group)",
-        inputs.len(),
-        merged.header().num_eccs,
-        merged.byte_len(),
-        merged.header().checksum
-    );
-    Ok(())
-}
-
 fn registry_command(args: &[String]) -> Result<(), Failure> {
     let Some((sub, rest)) = args.split_first() else {
         return Err(usage("registry needs a subcommand: add, get, list, or gc"));
@@ -641,21 +510,15 @@ fn registry_command(args: &[String]) -> Result<(), Failure> {
 fn registry_add(args: &[String]) -> Result<(), Failure> {
     let mut args = Args::new(args);
     let root = args.required("--root")?.to_string();
-    let mut paths: Vec<PathBuf> = Vec::new();
-    while let Some(path) = args.positional() {
-        paths.push(PathBuf::from(path));
-    }
+    let path = args
+        .positional()
+        .ok_or_else(|| usage("registry add needs an artifact path"))?
+        .to_string();
     args.finish()?;
-    if paths.is_empty() {
-        return Err(usage("registry add needs at least one artifact path"));
-    }
 
     let registry = Registry::open(&root).map_err(runtime)?;
-    let key = registry.add(&paths).map_err(runtime)?;
-    eprintln!(
-        "published {} artifact(s) under key [{key}] in {root}",
-        paths.len()
-    );
+    let key = registry.add(Path::new(&path)).map_err(runtime)?;
+    eprintln!("published {path} under key [{key}] in {root}");
     Ok(())
 }
 
@@ -686,14 +549,9 @@ fn registry_get(args: &[String]) -> Result<(), Failure> {
     args.finish()?;
 
     let registry = Registry::open(&root).map_err(runtime)?;
-    let paths = registry.get(&key).map_err(runtime)?;
-    for path in &paths {
-        println!("{}", path.display());
-    }
-    eprintln!(
-        "key [{key}] resolves to {} verified artifact(s)",
-        paths.len()
-    );
+    let path = registry.get(&key).map_err(runtime)?;
+    println!("{}", path.display());
+    eprintln!("key [{key}] resolves to a verified artifact");
     Ok(())
 }
 
@@ -705,12 +563,7 @@ fn registry_list(args: &[String]) -> Result<(), Failure> {
     let registry = Registry::open(&root).map_err(runtime)?;
     let entries = registry.list().map_err(runtime)?;
     for entry in &entries {
-        println!(
-            "{}  {} artifact(s)  {}",
-            entry.key,
-            entry.shard_count,
-            entry.blobs.join(" ")
-        );
+        println!("{}  {}", entry.key, entry.blob);
     }
     eprintln!("{} key(s) published in {root}", entries.len());
     Ok(())
@@ -756,33 +609,14 @@ fn verify_checksum(args: &[String]) -> Result<(), Failure> {
     if deep {
         let set = reader.decode_ecc_set().map_err(runtime)?;
         reader.decode_index().map_err(runtime)?;
-        if reader.class_table().is_some_and(|t| t.is_shard()) {
-            // A shard's index section is a slice of its parent's, so whole-
-            // artifact re-packing can't reproduce it. Decoding above already
-            // re-hashed every class payload and the index section against
-            // the digests sealed under the artifact checksum, which is the
-            // deep check for shards.
-            println!(
-                "{path}: deep verification ok ({} shard classes and index slice \
-                 digest-verified, payload decodes)",
-                set.eccs.len()
-            );
-        } else {
-            let repacked = Library::with_format(
-                header.gate_set.clone(),
-                set,
-                header.has_index(),
-                header.format_version,
-            )
-            .to_bytes();
-            if repacked != bytes {
-                return Err(runtime(format!(
-                    "{path}: artifact is stale — re-packing its own payload with the current \
-                     pipeline produces different bytes (regenerate or re-pack it)"
-                )));
-            }
-            println!("{path}: deep verification ok (payload decodes, re-pack is byte-identical)");
+        let repacked = Library::new(header.gate_set.clone(), set, header.has_index()).to_bytes();
+        if repacked != bytes {
+            return Err(runtime(format!(
+                "{path}: artifact is stale — re-packing its own payload with the current \
+                 pipeline produces different bytes (regenerate or re-pack it)"
+            )));
         }
+        println!("{path}: deep verification ok (payload decodes, re-pack is byte-identical)");
     }
     Ok(())
 }

@@ -51,7 +51,6 @@ mod count;
 mod ecc;
 mod index;
 mod json;
-mod lazy;
 mod library;
 mod prune;
 mod registry;
@@ -65,13 +64,11 @@ pub use audit::{
 pub use count::{count_possible_circuits, count_sequences_by_size};
 pub use ecc::{Ecc, EccSet};
 pub use index::{IndexScratch, TransformationIndex};
-pub use lazy::{assemble_index, merge_shards, shard_library, LazyLibrary};
 pub use library::{
-    artifact_checksum, checksum64, class_payload_digest, path_io_error, ClassEntry, ClassTable,
-    Library, LibraryError, LibraryHeader, LibraryReader, FORMAT_VERSION, FORMAT_VERSION_V2,
-    GENERATOR_VERSION, HEADER_LEN, MAGIC,
+    artifact_checksum, checksum64, path_io_error, Library, LibraryError, LibraryHeader,
+    LibraryReader, FORMAT_VERSION, GENERATOR_VERSION, HEADER_LEN, MAGIC,
 };
 pub use prune::{prune, prune_common_subcircuits, simplify_eccs, PruneStats};
 pub use registry::{Registry, RegistryEntry, RegistryKey};
 pub use repgen::{GenConfig, GenStats, Generator};
-pub use xform::{transformations_from_ecc_set, transformations_with_provenance, Transformation};
+pub use xform::{transformations_from_ecc_set, Transformation};

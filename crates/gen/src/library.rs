@@ -11,11 +11,6 @@
 //!   gate set, `(n, q, m)` parameters, payload counts, the generator
 //!   version, section lengths, and an FNV-1a 64-bit checksum covering the
 //!   header prefix and the body;
-//! * format v2 only: a **class offset table** ([`ClassTable`], DESIGN.md
-//!   §12) between the header and the payload — per-class byte ranges and
-//!   content digests plus shard provenance — which is what lets
-//!   [`crate::LazyLibrary`] decode classes on first touch instead of at
-//!   load;
 //! * an **ECC payload** section: the lossless binary encoding of the
 //!   [`EccSet`];
 //! * an optional **prebuilt index** section: the extracted
@@ -83,17 +78,9 @@ use std::path::Path;
 /// The four magic bytes every artifact starts with.
 pub const MAGIC: [u8; 4] = *b"QTZL";
 
-/// The original (eager) artifact format version. Readers accept versions
-/// [`FORMAT_VERSION`] and [`FORMAT_VERSION_V2`] and reject everything else
-/// (see DESIGN.md §7 and §12 for the compatibility rules).
+/// The artifact format version. Readers accept exactly this version and
+/// reject everything else (see DESIGN.md §7 for the compatibility rules).
 pub const FORMAT_VERSION: u16 = 1;
-
-/// Format version 2: identical header and section encodings, plus a
-/// [`ClassTable`] between the header and the ECC payload carrying per-class
-/// byte ranges, per-class content digests, an index-section digest, and
-/// shard provenance. v2 is what makes lazy per-class decoding and sharding
-/// possible; v1 artifacts keep loading through the eager path unchanged.
-pub const FORMAT_VERSION_V2: u16 = 2;
 
 /// Version of the generation pipeline (RepGen + pruning + transformation
 /// extraction + anchor selection). Bumped whenever regenerating the same
@@ -172,25 +159,6 @@ pub enum LibraryError {
     },
     /// The body decoded to something structurally invalid.
     Malformed(String),
-    /// A v2 class payload's bytes do not hash to the digest recorded for it
-    /// in the artifact's class table — the class was corrupted after pack
-    /// (or the table entry was cooked to point at the wrong range).
-    ClassDigestMismatch {
-        /// Position of the class in this artifact's table.
-        class: usize,
-        /// Digest recorded in the class table.
-        expected: u64,
-        /// Digest recomputed over the class's payload bytes.
-        found: u64,
-    },
-    /// A v2 index section's bytes do not hash to the digest recorded in the
-    /// class table.
-    IndexDigestMismatch {
-        /// Digest recorded in the class table.
-        expected: u64,
-        /// Digest recomputed over the index section bytes.
-        found: u64,
-    },
     /// The loader requires a live audit stamp
     /// ([`crate::AuditStamp::certifies`]) but the artifact has none — the
     /// sidecar is missing, stale, or records a failed audit.
@@ -210,8 +178,8 @@ impl fmt::Display for LibraryError {
             }
             LibraryError::UnsupportedVersion(v) => write!(
                 f,
-                "unsupported library format version {v} (this build reads versions \
-                 {FORMAT_VERSION} and {FORMAT_VERSION_V2})"
+                "unsupported library format version {v} (this build reads version \
+                 {FORMAT_VERSION})"
             ),
             LibraryError::Truncated { context } => {
                 write!(f, "artifact truncated while reading {context}")
@@ -221,20 +189,6 @@ impl fmt::Display for LibraryError {
                 "artifact checksum mismatch: header says {expected:#018x}, content hashes to {found:#018x}"
             ),
             LibraryError::Malformed(msg) => write!(f, "malformed library artifact: {msg}"),
-            LibraryError::ClassDigestMismatch {
-                class,
-                expected,
-                found,
-            } => write!(
-                f,
-                "class {class} digest mismatch: table says {expected:#018x}, payload hashes \
-                 to {found:#018x}"
-            ),
-            LibraryError::IndexDigestMismatch { expected, found } => write!(
-                f,
-                "index section digest mismatch: table says {expected:#018x}, section hashes \
-                 to {found:#018x}"
-            ),
             LibraryError::NotAudited { path } => write!(
                 f,
                 "{path}: no live audit stamp — run `quartz-lib audit {path} --write-stamp` \
@@ -256,7 +210,7 @@ impl From<io::Error> for LibraryError {
 /// The decoded fixed-size header of a library artifact (DESIGN.md §7.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LibraryHeader {
-    /// Artifact format version (currently always [`FORMAT_VERSION`]).
+    /// Artifact format version (always [`FORMAT_VERSION`]).
     pub format_version: u16,
     /// Name of the gate set the library was generated for (≤ 12 ASCII
     /// bytes; informational).
@@ -327,7 +281,7 @@ impl LibraryHeader {
             u64::from_le_bytes(b)
         };
         let format_version = u16_at(4);
-        if format_version != FORMAT_VERSION && format_version != FORMAT_VERSION_V2 {
+        if format_version != FORMAT_VERSION {
             return Err(LibraryError::UnsupportedVersion(format_version));
         }
         let header_len = u16_at(6) as usize;
@@ -407,26 +361,20 @@ pub(crate) fn encode_circuit(out: &mut Vec<u8>, circuit: &Circuit) {
     }
 }
 
-/// Encodes one equivalence class exactly as it appears inside the ECC
-/// payload section: a `u32` circuit count followed by the encoded circuits.
-/// v1's payload is the concatenation of these, and v2 keeps the encoding
-/// byte-identical — the class table only records where each one starts.
-pub(crate) fn encode_ecc_class(out: &mut Vec<u8>, ecc: &Ecc) {
-    put_u32(out, ecc.len() as u32);
-    for circuit in ecc.circuits() {
-        encode_circuit(out, circuit);
-    }
-}
-
+/// The ECC payload section: per class, a `u32` circuit count followed by
+/// the encoded circuits.
 fn encode_ecc_payload(set: &EccSet) -> Vec<u8> {
     let mut out = Vec::new();
     for ecc in &set.eccs {
-        encode_ecc_class(&mut out, ecc);
+        put_u32(&mut out, ecc.len() as u32);
+        for circuit in ecc.circuits() {
+            encode_circuit(&mut out, circuit);
+        }
     }
     out
 }
 
-pub(crate) fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
+fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
     let mut out = Vec::new();
     put_u32(&mut out, index.len() as u32);
     for xform in index.transformations() {
@@ -448,13 +396,13 @@ pub(crate) fn encode_index_section(index: &TransformationIndex) -> Vec<u8> {
 }
 
 /// A bounds-checked little-endian cursor over a body section.
-pub(crate) struct Cursor<'a> {
+struct Cursor<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Cursor<'a> {
-    pub(crate) fn new(bytes: &'a [u8]) -> Self {
+    fn new(bytes: &'a [u8]) -> Self {
         Cursor { bytes, pos: 0 }
     }
 
@@ -483,22 +431,11 @@ impl<'a> Cursor<'a> {
         Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
     }
 
-    fn u64(&mut self, context: &'static str) -> Result<u64, LibraryError> {
-        let b = self.take(8, context)?;
-        let mut buf = [0u8; 8];
-        buf.copy_from_slice(b);
-        Ok(u64::from_le_bytes(buf))
-    }
-
     fn i32(&mut self, context: &'static str) -> Result<i32, LibraryError> {
         Ok(self.u32(context)? as i32)
     }
 
-    pub(crate) fn position(&self) -> usize {
-        self.pos
-    }
-
-    pub(crate) fn finished(&self) -> bool {
+    fn finished(&self) -> bool {
         self.pos == self.bytes.len()
     }
 }
@@ -551,8 +488,8 @@ fn decode_circuit(cur: &mut Cursor<'_>) -> Result<Circuit, LibraryError> {
     Ok(circuit)
 }
 
-/// Decodes one equivalence class (the inverse of [`encode_ecc_class`]).
-pub(crate) fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError> {
+/// Decodes one equivalence class of the ECC payload.
+fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError> {
     let circuit_count = cur.u32("ECC circuit count")? as usize;
     if circuit_count == 0 {
         return Err(LibraryError::Malformed(
@@ -566,23 +503,6 @@ pub(crate) fn decode_ecc_class(cur: &mut Cursor<'_>) -> Result<Ecc, LibraryError
     // The payload stores circuits in representative-first (≺-sorted)
     // order; Ecc::new's stable sort therefore reproduces it exactly.
     Ok(Ecc::new(circuits))
-}
-
-fn check_payload_totals(
-    header: &LibraryHeader,
-    total_circuits: usize,
-    total_instructions: usize,
-) -> Result<(), LibraryError> {
-    if total_circuits != header.total_circuits as usize
-        || total_instructions != header.total_instructions as usize
-    {
-        return Err(LibraryError::Malformed(format!(
-            "payload counts ({total_circuits} circuits, {total_instructions} instructions) \
-             disagree with the header ({}, {})",
-            header.total_circuits, header.total_instructions
-        )));
-    }
-    Ok(())
 }
 
 fn decode_ecc_payload(bytes: &[u8], header: &LibraryHeader) -> Result<EccSet, LibraryError> {
@@ -605,11 +525,19 @@ fn decode_ecc_payload(bytes: &[u8], header: &LibraryHeader) -> Result<EccSet, Li
             "trailing bytes after the last ECC of the payload".to_string(),
         ));
     }
-    check_payload_totals(header, total_circuits, total_instructions)?;
+    if total_circuits != header.total_circuits as usize
+        || total_instructions != header.total_instructions as usize
+    {
+        return Err(LibraryError::Malformed(format!(
+            "payload counts ({total_circuits} circuits, {total_instructions} instructions) \
+             disagree with the header ({}, {})",
+            header.total_circuits, header.total_instructions
+        )));
+    }
     Ok(set)
 }
 
-pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, LibraryError> {
+fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, LibraryError> {
     let mut cur = Cursor::new(bytes);
     let count = cur.u32("transformation count")? as usize;
     let mut transformations = Vec::with_capacity(count.min(65_536));
@@ -657,180 +585,6 @@ pub(crate) fn decode_index_section(bytes: &[u8]) -> Result<TransformationIndex, 
 }
 
 // ---------------------------------------------------------------------------
-// Format v2: the class offset table (DESIGN.md §12)
-// ---------------------------------------------------------------------------
-
-/// Content digest of one class's payload bytes, as recorded in a v2
-/// [`ClassTable`]. Same recipe as the audit sidecar's
-/// [`crate::audit::class_digest`] minus the verifier-configuration digest
-/// (integrity needs no verifier): [`GENERATOR_VERSION`] and the set shape
-/// are folded in so a digest can never validate a payload reinterpreted
-/// under different `(q, m)` or a different generation pipeline.
-pub fn class_payload_digest(num_qubits: u32, num_params: u32, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(24 + payload.len());
-    buf.extend_from_slice(&GENERATOR_VERSION.to_le_bytes());
-    buf.extend_from_slice(&u64::from(num_qubits).to_le_bytes());
-    buf.extend_from_slice(&u64::from(num_params).to_le_bytes());
-    buf.extend_from_slice(payload);
-    checksum64(&buf)
-}
-
-/// One row of a v2 class table: where a class's payload lives and what it
-/// must hash to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClassEntry {
-    /// Index of this class in the *parent* artifact (equal to its position
-    /// here for whole artifacts; the original position for shards, so a
-    /// merge can put every class back where it came from).
-    pub orig_class_index: u32,
-    /// Byte length of the class's payload. Offsets are prefix sums; the
-    /// lengths must sum exactly to the header's `ecc_len`.
-    pub len: u32,
-    /// [`class_payload_digest`] of the payload bytes.
-    pub digest: u64,
-}
-
-/// The v2 class offset table (DESIGN.md §12): shard provenance preamble,
-/// one [`ClassEntry`] per class, the shard's original transformation ids,
-/// and a digest of the index section.
-///
-/// The v2 artifact checksum covers the header prefix *and* the encoded
-/// table, so every byte of the table is validated at open; every byte of
-/// the payload and index sections is in turn covered by a digest stored in
-/// the table — integrity of the whole file is transitive without hashing
-/// the body at open, which is what makes lazy loading sound (see the
-/// DESIGN.md §12 safety argument).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ClassTable {
-    /// This shard's position in its group (0 for whole artifacts).
-    pub shard_seq: u32,
-    /// Number of shards in the group (1 for whole artifacts).
-    pub shard_count: u32,
-    /// `num_eccs` of the parent artifact the group was split from (0 for
-    /// whole artifacts).
-    pub parent_num_eccs: u32,
-    /// Format version of the parent artifact (0 for whole artifacts) — the
-    /// version a merge must repack in to reproduce the parent bytes.
-    pub parent_format_version: u32,
-    /// Transformation count of the parent's prebuilt index (0 for whole
-    /// artifacts).
-    pub parent_num_xforms: u32,
-    /// Artifact checksum of the parent (0 for whole artifacts); a merge
-    /// verifies its output against this before declaring success.
-    pub parent_checksum: u64,
-    /// One entry per class, in payload order.
-    pub classes: Vec<ClassEntry>,
-    /// For shards: the *parent* transformation ids of this shard's index
-    /// section, ascending, one per local transformation. Empty for whole
-    /// artifacts.
-    pub xform_ids: Vec<u32>,
-    /// `checksum64` of the index section bytes (0 when the section is
-    /// absent).
-    pub index_digest: u64,
-}
-
-/// Fixed byte length of the class-table preamble.
-const CLASS_TABLE_PREAMBLE_LEN: usize = 32;
-
-impl ClassTable {
-    /// True when this artifact is one shard of a split library rather than
-    /// a whole library.
-    pub fn is_shard(&self) -> bool {
-        self.shard_count > 1
-    }
-
-    /// Encoded byte length of the table.
-    pub fn encoded_len(&self) -> usize {
-        CLASS_TABLE_PREAMBLE_LEN + 16 * self.classes.len() + 4 * self.xform_ids.len() + 8
-    }
-
-    /// Byte range of class `i`'s payload within the ECC payload section.
-    pub fn class_range(&self, i: usize) -> std::ops::Range<usize> {
-        let start: usize = self.classes[..i].iter().map(|e| e.len as usize).sum();
-        start..start + self.classes[i].len as usize
-    }
-
-    pub(crate) fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.shard_seq);
-        put_u32(out, self.shard_count);
-        put_u32(out, self.parent_num_eccs);
-        put_u32(out, self.xform_ids.len() as u32);
-        put_u32(out, self.parent_format_version);
-        put_u32(out, self.parent_num_xforms);
-        out.extend_from_slice(&self.parent_checksum.to_le_bytes());
-        for entry in &self.classes {
-            put_u32(out, entry.orig_class_index);
-            put_u32(out, entry.len);
-            out.extend_from_slice(&entry.digest.to_le_bytes());
-        }
-        for &id in &self.xform_ids {
-            put_u32(out, id);
-        }
-        out.extend_from_slice(&self.index_digest.to_le_bytes());
-    }
-
-    pub(crate) fn decode(
-        cur: &mut Cursor<'_>,
-        header: &LibraryHeader,
-    ) -> Result<ClassTable, LibraryError> {
-        let shard_seq = cur.u32("class table shard sequence")?;
-        let shard_count = cur.u32("class table shard count")?;
-        let parent_num_eccs = cur.u32("class table parent ECC count")?;
-        let xform_id_count = cur.u32("class table transformation id count")? as usize;
-        let parent_format_version = cur.u32("class table parent format version")?;
-        let parent_num_xforms = cur.u32("class table parent transformation count")?;
-        let parent_checksum = cur.u64("class table parent checksum")?;
-        if shard_count == 0 || shard_seq >= shard_count {
-            return Err(LibraryError::Malformed(format!(
-                "class table claims shard {shard_seq} of {shard_count}"
-            )));
-        }
-        let mut classes = Vec::with_capacity((header.num_eccs as usize).min(65_536));
-        let mut payload_len = 0u64;
-        for _ in 0..header.num_eccs {
-            let orig_class_index = cur.u32("class table entry index")?;
-            let len = cur.u32("class table entry length")?;
-            let digest = cur.u64("class table entry digest")?;
-            payload_len += u64::from(len);
-            classes.push(ClassEntry {
-                orig_class_index,
-                len,
-                digest,
-            });
-        }
-        if payload_len != header.ecc_len {
-            return Err(LibraryError::Malformed(format!(
-                "class table lengths sum to {payload_len} bytes, header says the payload \
-                 is {} bytes",
-                header.ecc_len
-            )));
-        }
-        let mut xform_ids = Vec::with_capacity(xform_id_count.min(65_536));
-        for _ in 0..xform_id_count {
-            let id = cur.u32("class table transformation id")?;
-            if xform_ids.last().is_some_and(|&last| last >= id) {
-                return Err(LibraryError::Malformed(
-                    "class table transformation ids are not strictly ascending".to_string(),
-                ));
-            }
-            xform_ids.push(id);
-        }
-        let index_digest = cur.u64("class table index digest")?;
-        Ok(ClassTable {
-            shard_seq,
-            shard_count,
-            parent_num_eccs,
-            parent_format_version,
-            parent_num_xforms,
-            parent_checksum,
-            classes,
-            xform_ids,
-            index_digest,
-        })
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Reader and owned library
 // ---------------------------------------------------------------------------
 
@@ -843,41 +597,25 @@ impl ClassTable {
 pub struct LibraryReader<'a> {
     header: LibraryHeader,
     /// Header bytes 0–63 — everything but the checksum field, which is what
-    /// the artifact checksum covers together with the body (v1) or the
-    /// class table (v2).
+    /// the artifact checksum covers together with the body.
     header_prefix: &'a [u8],
     body: &'a [u8],
-    /// v2 only: the decoded class table and its encoded length (the table
-    /// sits at the start of the body; the sections follow it).
-    table: Option<ClassTable>,
-    sections_start: usize,
 }
 
 impl<'a> LibraryReader<'a> {
-    /// Parses and validates the header — and, for v2 artifacts, the class
-    /// table.
+    /// Parses and validates the header.
     ///
     /// # Errors
     ///
-    /// Fails on a bad magic, an unsupported format version, a buffer
-    /// shorter than the header's section lengths claim, or a structurally
-    /// invalid class table.
+    /// Fails on a bad magic, an unsupported format version, or a buffer
+    /// whose length disagrees with the header's section lengths.
     pub fn new(bytes: &'a [u8]) -> Result<Self, LibraryError> {
         let header = LibraryHeader::decode(bytes)?;
         let body = &bytes[HEADER_LEN..];
-        let (table, sections_start) = if header.format_version == FORMAT_VERSION_V2 {
-            let mut cur = Cursor::new(body);
-            let table = ClassTable::decode(&mut cur, &header)?;
-            let len = cur.position();
-            (Some(table), len)
-        } else {
-            (None, 0)
-        };
         let body_len = header
             .ecc_len
             .checked_add(header.index_len)
             .and_then(|l| usize::try_from(l).ok())
-            .and_then(|l| l.checked_add(sections_start))
             .ok_or(LibraryError::Malformed(
                 "section lengths overflow".to_string(),
             ))?;
@@ -894,8 +632,6 @@ impl<'a> LibraryReader<'a> {
             header,
             header_prefix: &bytes[..HEADER_LEN - 8],
             body,
-            table,
-            sections_start,
         })
     }
 
@@ -904,29 +640,15 @@ impl<'a> LibraryReader<'a> {
         &self.header
     }
 
-    /// The decoded class table (v2 artifacts only).
-    pub fn class_table(&self) -> Option<&ClassTable> {
-        self.table.as_ref()
-    }
-
-    /// Recomputes the artifact checksum and compares it to the header's.
-    ///
-    /// For v1 the checksum covers the header prefix and the whole body; for
-    /// v2 it covers the header prefix and the class table only — each body
-    /// byte is instead covered by a per-class or index digest *stored in
-    /// that table*, so full-file integrity still holds transitively (and
-    /// lazily: see [`crate::LazyLibrary`]).
+    /// Recomputes the artifact checksum over the header prefix and the
+    /// whole body and compares it to the header's, so a passing check
+    /// covers every byte of the artifact.
     ///
     /// # Errors
     ///
     /// Returns [`LibraryError::ChecksumMismatch`] when they differ.
     pub fn verify_checksum(&self) -> Result<(), LibraryError> {
-        let covered = if self.table.is_some() {
-            &self.body[..self.sections_start]
-        } else {
-            self.body
-        };
-        let found = artifact_checksum(self.header_prefix, covered);
+        let found = artifact_checksum(self.header_prefix, self.body);
         if found != self.header.checksum {
             return Err(LibraryError::ChecksumMismatch {
                 expected: self.header.checksum,
@@ -938,118 +660,38 @@ impl<'a> LibraryReader<'a> {
 
     /// The raw ECC payload section, borrowed from the input buffer.
     pub fn ecc_bytes(&self) -> &'a [u8] {
-        let start = self.sections_start;
-        &self.body[start..start + self.header.ecc_len as usize]
+        &self.body[..self.header.ecc_len as usize]
     }
 
     /// The raw prebuilt index section (`None` when absent), borrowed from
     /// the input buffer.
     pub fn index_bytes(&self) -> Option<&'a [u8]> {
         if self.header.has_index() {
-            Some(&self.body[self.sections_start + self.header.ecc_len as usize..])
+            Some(&self.body[self.header.ecc_len as usize..])
         } else {
             None
         }
     }
 
-    /// Decodes the ECC payload. On v2 artifacts every class payload is
-    /// checked against its table digest first.
+    /// Decodes the ECC payload.
     ///
     /// # Errors
     ///
-    /// Fails on truncated or structurally invalid payload bytes, a class
-    /// digest mismatch (v2), or when the payload disagrees with the
-    /// header's counts.
+    /// Fails on truncated or structurally invalid payload bytes, or when
+    /// the payload disagrees with the header's counts.
     pub fn decode_ecc_set(&self) -> Result<EccSet, LibraryError> {
-        let Some(table) = &self.table else {
-            return decode_ecc_payload(self.ecc_bytes(), &self.header);
-        };
-        let payload = self.ecc_bytes();
-        let mut set = EccSet::new(
-            self.header.num_qubits as usize,
-            self.header.num_params as usize,
-        );
-        let mut offset = 0usize;
-        let mut total_circuits = 0usize;
-        let mut total_instructions = 0usize;
-        for (i, entry) in table.classes.iter().enumerate() {
-            let class_bytes = &payload[offset..offset + entry.len as usize];
-            offset += entry.len as usize;
-            verify_class_payload(&self.header, i, entry, class_bytes)?;
-            let ecc = decode_class_payload(i, class_bytes)?;
-            total_circuits += ecc.len();
-            total_instructions += ecc
-                .circuits()
-                .iter()
-                .map(Circuit::gate_count)
-                .sum::<usize>();
-            set.eccs.push(ecc);
-        }
-        check_payload_totals(&self.header, total_circuits, total_instructions)?;
-        Ok(set)
+        decode_ecc_payload(self.ecc_bytes(), &self.header)
     }
 
-    /// Decodes the prebuilt index section, if present. On v2 artifacts the
-    /// section bytes are checked against the table's index digest first.
+    /// Decodes the prebuilt index section, if present.
     ///
     /// # Errors
     ///
-    /// Fails on truncated bytes, an index digest mismatch (v2), or on an
-    /// index that is structurally inconsistent (see
-    /// [`TransformationIndex::from_parts`]).
+    /// Fails on truncated bytes or on an index that is structurally
+    /// inconsistent (see [`TransformationIndex::from_parts`]).
     pub fn decode_index(&self) -> Result<Option<TransformationIndex>, LibraryError> {
-        let Some(bytes) = self.index_bytes() else {
-            return Ok(None);
-        };
-        if let Some(table) = &self.table {
-            verify_index_section(table, bytes)?;
-        }
-        decode_index_section(bytes).map(Some)
+        self.index_bytes().map(decode_index_section).transpose()
     }
-}
-
-/// Checks one class payload against its v2 table entry.
-pub(crate) fn verify_class_payload(
-    header: &LibraryHeader,
-    class: usize,
-    entry: &ClassEntry,
-    payload: &[u8],
-) -> Result<(), LibraryError> {
-    let found = class_payload_digest(header.num_qubits, header.num_params, payload);
-    if found != entry.digest {
-        return Err(LibraryError::ClassDigestMismatch {
-            class,
-            expected: entry.digest,
-            found,
-        });
-    }
-    Ok(())
-}
-
-/// Decodes one class payload, requiring it to be exactly consumed (a class
-/// that decodes short would silently shift every later class in v1; in v2
-/// the ranges are explicit, so a short decode is a malformed class).
-pub(crate) fn decode_class_payload(class: usize, payload: &[u8]) -> Result<Ecc, LibraryError> {
-    let mut cur = Cursor::new(payload);
-    let ecc = decode_ecc_class(&mut cur)?;
-    if !cur.finished() {
-        return Err(LibraryError::Malformed(format!(
-            "trailing bytes after the circuits of class {class}"
-        )));
-    }
-    Ok(ecc)
-}
-
-/// Checks the index section bytes against the v2 table's digest.
-pub(crate) fn verify_index_section(table: &ClassTable, bytes: &[u8]) -> Result<(), LibraryError> {
-    let found = checksum64(bytes);
-    if found != table.index_digest {
-        return Err(LibraryError::IndexDigestMismatch {
-            expected: table.index_digest,
-            found,
-        });
-    }
-    Ok(())
 }
 
 /// An owned, decoded library: header, ECC set, and (optionally) the
@@ -1080,30 +722,6 @@ impl Library {
     /// or classes — rather than silently truncating into a checksum-valid
     /// artifact that encodes a different library.
     pub fn new(gate_set: impl Into<String>, ecc_set: EccSet, with_index: bool) -> Library {
-        Library::with_format(gate_set, ecc_set, with_index, FORMAT_VERSION)
-    }
-
-    /// [`Library::new`] with an explicit artifact format version:
-    /// [`FORMAT_VERSION`] (v1, eager) or [`FORMAT_VERSION_V2`] (v2, with a
-    /// [`ClassTable`] enabling lazy per-class decoding). Both encode the
-    /// same ECC payload and index sections byte-identically; v2 inserts the
-    /// class table between header and payload and moves the checksum's
-    /// coverage to header + table (see [`LibraryReader::verify_checksum`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an unknown format version, and on the same size limits as
-    /// [`Library::new`].
-    pub fn with_format(
-        gate_set: impl Into<String>,
-        ecc_set: EccSet,
-        with_index: bool,
-        format_version: u16,
-    ) -> Library {
-        assert!(
-            format_version == FORMAT_VERSION || format_version == FORMAT_VERSION_V2,
-            "unknown library format version {format_version}"
-        );
         let index = with_index
             .then(|| TransformationIndex::new(transformations_from_ecc_set(&ecc_set, true)));
         let mut gate_set = gate_set.into();
@@ -1117,56 +735,12 @@ impl Library {
             u32::try_from(n)
                 .unwrap_or_else(|_| panic!("{what} ({n}) exceeds the format's u32 limit"))
         };
-        let num_qubits = count_u32("qubit count", ecc_set.num_qubits);
-        let num_params = count_u32("parameter count", ecc_set.num_params);
+        let mut body = encode_ecc_payload(&ecc_set);
+        let ecc_len = body.len() as u64;
         let index_section = index.as_ref().map(encode_index_section).unwrap_or_default();
-        let mut body = Vec::new();
-        let table = (format_version == FORMAT_VERSION_V2).then(|| {
-            let mut classes = Vec::with_capacity(ecc_set.eccs.len());
-            let mut payload = Vec::new();
-            for (i, ecc) in ecc_set.eccs.iter().enumerate() {
-                let start = payload.len();
-                encode_ecc_class(&mut payload, ecc);
-                classes.push(ClassEntry {
-                    orig_class_index: count_u32("class index", i),
-                    len: count_u32("class payload length", payload.len() - start),
-                    digest: class_payload_digest(num_qubits, num_params, &payload[start..]),
-                });
-            }
-            let table = ClassTable {
-                shard_seq: 0,
-                shard_count: 1,
-                parent_num_eccs: 0,
-                parent_format_version: 0,
-                parent_num_xforms: 0,
-                parent_checksum: 0,
-                classes,
-                xform_ids: Vec::new(),
-                index_digest: if index_section.is_empty() {
-                    0
-                } else {
-                    checksum64(&index_section)
-                },
-            };
-            table.encode(&mut body);
-            (table, payload)
-        });
-        let table_len = body.len();
-        let ecc_len;
-        match table {
-            Some((_, payload)) => {
-                ecc_len = payload.len() as u64;
-                body.extend_from_slice(&payload);
-            }
-            None => {
-                let payload = encode_ecc_payload(&ecc_set);
-                ecc_len = payload.len() as u64;
-                body.extend_from_slice(&payload);
-            }
-        }
         body.extend_from_slice(&index_section);
         let mut header = LibraryHeader {
-            format_version,
+            format_version: FORMAT_VERSION,
             gate_set,
             max_gates: ecc_set
                 .eccs
@@ -1175,8 +749,8 @@ impl Library {
                 .map(|c| count_u32("circuit gate count", c.gate_count()))
                 .max()
                 .unwrap_or(0),
-            num_qubits,
-            num_params,
+            num_qubits: count_u32("qubit count", ecc_set.num_qubits),
+            num_params: count_u32("parameter count", ecc_set.num_params),
             num_eccs: count_u32("ECC count", ecc_set.eccs.len()),
             total_circuits: count_u32("total circuits", ecc_set.total_circuits()),
             total_instructions: count_u32(
@@ -1193,14 +767,7 @@ impl Library {
             index_len: index_section.len() as u64,
             checksum: 0,
         };
-        // v1: checksum over header prefix + whole body. v2: header prefix +
-        // class table only (the table's digests cover the rest).
-        let covered = if format_version == FORMAT_VERSION_V2 {
-            &body[..table_len]
-        } else {
-            &body[..]
-        };
-        header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], covered);
+        header.checksum = artifact_checksum(&header.encode()[..HEADER_LEN - 8], &body);
         Library {
             header,
             ecc_set,
@@ -1359,12 +926,16 @@ mod tests {
             Library::from_bytes(&bad_magic),
             Err(LibraryError::NotALibrary)
         ));
-        let mut bad_version = bytes.clone();
-        bad_version[4] = 0xFF;
-        assert!(matches!(
-            Library::from_bytes(&bad_version),
-            Err(LibraryError::UnsupportedVersion(_))
-        ));
+        // 2 is the retired class-table container: old files of that version
+        // are refused, not half-read.
+        for version in [2u16, 0xFF] {
+            let mut bad_version = bytes.clone();
+            bad_version[4..6].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                Library::from_bytes(&bad_version),
+                Err(LibraryError::UnsupportedVersion(v)) if v == version
+            ));
+        }
         let mut bad_header_len = bytes;
         bad_header_len[6] = 99;
         assert!(matches!(

@@ -1,10 +1,9 @@
-//! A content-addressed on-disk library registry (DESIGN.md §12.4).
+//! A content-addressed on-disk library registry (DESIGN.md §12.2).
 //!
-//! Committed fixtures under `libraries/` were the right distribution
-//! channel for three quick-scale artifacts; a fleet serving many gate sets
-//! at paper scale wants a *registry*: artifacts published once, fetched by
-//! what they are — `(gate set, n, q, m, generator version)` — and verified
-//! every time they are handed out. This module is that registry:
+//! Committed fixtures under `libraries/` are the distribution channel for
+//! the quick-scale artifacts; a registry publishes artifacts once and
+//! hands them out by what they are — `(gate set, n, q, m, generator
+//! version)` — verified every time:
 //!
 //! ```text
 //! <root>/
@@ -20,17 +19,13 @@
 //! publish the same artifact write byte-identical files and either rename
 //! wins harmlessly; the key's `MANIFEST` is renamed last, so a reader
 //! either sees the previous complete state or the new complete state,
-//! never a torn one. [`Registry::get`] re-verifies every blob's integrity
-//! (header, checksum, and — for v2 — every class and index digest, via
-//! [`LazyLibrary::verify_all`]) before returning it, and retries once if a
-//! concurrent `gc` swept a blob between the manifest read and the open.
-//!
-//! A manifest points at one whole artifact or at one complete shard group
-//! ([`crate::shard_library`]); [`Registry::add`] validates the group before
-//! publishing so a key can never resolve to half a library.
+//! never a torn one. A manifest names exactly one whole artifact.
+//! [`Registry::add`] and [`Registry::get`] both verify the blob's header
+//! and its artifact checksum, which covers every byte of the file, and
+//! `get` retries once if a concurrent `gc` swept the blob between the
+//! manifest read and the open.
 
-use crate::lazy::LazyLibrary;
-use crate::library::{path_io_error, Library, LibraryError, LibraryHeader};
+use crate::library::{path_io_error, Library, LibraryError, LibraryHeader, LibraryReader};
 use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -55,8 +50,7 @@ pub struct RegistryKey {
 }
 
 impl RegistryKey {
-    /// Derives the key from an artifact header. Shards keep their parent's
-    /// `(n, q, m)` precisely so this derivation is uniform across a group.
+    /// Derives the key from an artifact header.
     pub fn from_header(header: &LibraryHeader) -> RegistryKey {
         RegistryKey {
             gate_set: header.gate_set.clone(),
@@ -104,11 +98,8 @@ impl fmt::Display for RegistryKey {
 pub struct RegistryEntry {
     /// The key.
     pub key: RegistryKey,
-    /// Number of artifacts behind the key (1 for a whole library, the
-    /// shard-group size otherwise).
-    pub shard_count: usize,
-    /// Blob file names in shard-sequence order.
-    pub blobs: Vec<String>,
+    /// File name of the blob the key resolves to.
+    pub blob: String,
 }
 
 /// Handle to a registry root directory. Cheap to clone; all methods take
@@ -124,6 +115,13 @@ const MANIFEST_MAGIC: &str = "quartz-registry-manifest v1";
 /// Distinguishes concurrently-staged temp files within one process; the
 /// process id distinguishes across processes.
 static TMP_COUNTER: AtomicU64 = AtomicU64::new(0);
+
+/// Validates an artifact's header and checksum, returning the header.
+fn verified_header(bytes: &[u8]) -> Result<LibraryHeader, LibraryError> {
+    let reader = LibraryReader::new(bytes)?;
+    reader.verify_checksum()?;
+    Ok(reader.header().clone())
+}
 
 impl Registry {
     /// Opens (creating if necessary) a registry rooted at `root`.
@@ -173,104 +171,33 @@ impl Registry {
         std::fs::rename(&stage, path).map_err(|e| LibraryError::Io(path_io_error(path, e)))
     }
 
-    /// Publishes one whole artifact or one complete shard group under its
-    /// derived key. Every input is fully verified first (header, checksum,
-    /// and all v2 digests); shard groups must be complete and
-    /// mutually-consistent. Audit sidecars sitting next to the inputs are
-    /// published alongside their blobs, so `--require-audited` loaders can
+    /// Publishes one whole artifact under its derived key, after verifying
+    /// its header and checksum. An audit sidecar sitting next to the input
+    /// is published alongside the blob, so `--require-audited` loaders can
     /// fetch from the registry too.
     ///
-    /// Returns the key the artifacts were published under.
+    /// Returns the key the artifact was published under.
     ///
     /// # Errors
     ///
-    /// Validation failures on any input, key mismatches within the group,
-    /// incomplete shard groups, and I/O errors (paths named).
-    pub fn add(&self, paths: &[PathBuf]) -> Result<RegistryKey, LibraryError> {
-        if paths.is_empty() {
-            return Err(LibraryError::Malformed(
-                "registry add needs at least one artifact".to_string(),
-            ));
-        }
-        let mut key: Option<RegistryKey> = None;
-        let mut entries: Vec<(u32, u32, u64, PathBuf, Vec<u8>)> = Vec::with_capacity(paths.len());
-        let mut parent_checksum: Option<u64> = None;
-        for path in paths {
-            let bytes =
-                std::fs::read(path).map_err(|e| LibraryError::Io(path_io_error(path, e)))?;
-            let lazy = LazyLibrary::from_bytes(bytes.clone())?;
-            lazy.verify_all()?;
-            let header = lazy.header();
-            let this_key = RegistryKey::from_header(header);
-            match &key {
-                None => key = Some(this_key),
-                Some(k) if *k == this_key => {}
-                Some(k) => {
-                    return Err(LibraryError::Malformed(format!(
-                        "{}: key {this_key} does not match the group's key {k}",
-                        path.display()
-                    )));
-                }
-            }
-            let (seq, count, parent) = match lazy.class_table() {
-                Some(t) if t.is_shard() => (t.shard_seq, t.shard_count, t.parent_checksum),
-                _ => (0, 1, 0),
-            };
-            match parent_checksum {
-                None => parent_checksum = Some(parent),
-                Some(p) if p == parent => {}
-                Some(_) => {
-                    return Err(LibraryError::Malformed(format!(
-                        "{}: shard belongs to a different parent artifact than the rest \
-                         of the group",
-                        path.display()
-                    )));
-                }
-            }
-            entries.push((seq, count, header.checksum, path.clone(), bytes));
-        }
-        let group_count = entries[0].1 as usize;
-        if entries.len() != group_count {
-            return Err(LibraryError::Malformed(format!(
-                "group of {group_count} published with {} artifacts — a key must resolve to \
-                 a whole library or a complete shard group",
-                entries.len()
-            )));
-        }
-        let mut seen = vec![false; group_count];
-        for (seq, count, ..) in &entries {
-            if *count as usize != group_count || *seq as usize >= group_count {
-                return Err(LibraryError::Malformed(format!(
-                    "inconsistent shard group: artifact claims shard {seq} of {count}, group \
-                     has {group_count}"
-                )));
-            }
-            if std::mem::replace(&mut seen[*seq as usize], true) {
-                return Err(LibraryError::Malformed(format!(
-                    "duplicate shard sequence {seq} in the published group"
-                )));
-            }
-        }
-        entries.sort_by_key(|(seq, ..)| *seq);
+    /// Validation failures of the input and I/O errors (paths named).
+    pub fn add(&self, path: &Path) -> Result<RegistryKey, LibraryError> {
+        let bytes = std::fs::read(path).map_err(|e| LibraryError::Io(path_io_error(path, e)))?;
+        let header = verified_header(&bytes)?;
+        let key = RegistryKey::from_header(&header);
 
-        // Publish blobs (and their audit sidecars) first, manifest last.
-        let mut manifest = format!("{MANIFEST_MAGIC}\n");
-        let key = key.expect("at least one artifact");
-        manifest.push_str(&format!(
-            "key {} {} {} {} {}\n",
-            key.gate_set, key.max_gates, key.num_qubits, key.num_params, key.generator_version
-        ));
-        for (seq, count, checksum, src, bytes) in &entries {
-            let blob_name = format!("{checksum:016x}.qtzl");
-            self.publish_file(&self.blob_path(&blob_name), bytes)?;
-            let sidecar = crate::audit::AuditStamp::sidecar_path(src);
-            if let Ok(stamp) = std::fs::read(&sidecar) {
-                self.publish_file(&self.blob_path(&format!("{blob_name}.audit")), &stamp)?;
-            }
-            manifest.push_str(&format!(
-                "artifact {seq}/{count} {checksum:016x} {blob_name}\n"
-            ));
+        // Publish the blob (and its audit sidecar) first, the manifest last.
+        let checksum = header.checksum;
+        let blob_name = format!("{checksum:016x}.qtzl");
+        self.publish_file(&self.blob_path(&blob_name), &bytes)?;
+        let sidecar = crate::audit::AuditStamp::sidecar_path(path);
+        if let Ok(stamp) = std::fs::read(&sidecar) {
+            self.publish_file(&self.blob_path(&format!("{blob_name}.audit")), &stamp)?;
         }
+        let manifest = format!(
+            "{MANIFEST_MAGIC}\nkey {} {} {} {} {}\nartifact 0/1 {checksum:016x} {blob_name}\n",
+            key.gate_set, key.max_gates, key.num_qubits, key.num_params, key.generator_version
+        );
         let manifest_path = self.manifest_path(&key);
         let key_dir = manifest_path.parent().expect("manifest has a parent");
         std::fs::create_dir_all(key_dir)
@@ -286,24 +213,24 @@ impl Registry {
         parse_manifest(&path, &text)
     }
 
-    /// Resolves `key` to verified artifact paths, shard-sequence order.
+    /// Resolves `key` to the path of its verified blob.
     ///
-    /// Every returned blob was re-verified *by this call* — header,
-    /// checksum, and (v2) every class and index digest — so a corrupted
-    /// registry file is reported here, not at some later lazy decode. A
-    /// blob swept by a concurrent [`Registry::gc`] triggers one manifest
-    /// re-read and retry before the miss is reported.
+    /// The blob was re-verified *by this call* — header and artifact
+    /// checksum, plus its content-addressed name — so a corrupted registry
+    /// file is reported here, not at some later decode. A blob swept by a
+    /// concurrent [`Registry::gc`] triggers one manifest re-read and retry
+    /// before the miss is reported.
     ///
     /// # Errors
     ///
     /// An unknown key surfaces as [`LibraryError::Io`] (`NotFound`, naming
-    /// the manifest path); corrupt blobs surface as their integrity error.
-    pub fn get(&self, key: &RegistryKey) -> Result<Vec<PathBuf>, LibraryError> {
+    /// the manifest path); a corrupt blob surfaces as its integrity error.
+    pub fn get(&self, key: &RegistryKey) -> Result<PathBuf, LibraryError> {
         let mut last_err = None;
         for _attempt in 0..2 {
             let entry = self.read_entry(key)?;
-            match self.verify_entry_blobs(&entry) {
-                Ok(paths) => return Ok(paths),
+            match self.verify_blob(&entry.blob) {
+                Ok(path) => return Ok(path),
                 // Retry only on a vanished blob (a gc/republish race); real
                 // corruption must be reported immediately.
                 Err(LibraryError::Io(e)) if e.kind() == io::ErrorKind::NotFound => {
@@ -315,29 +242,24 @@ impl Registry {
         Err(last_err.expect("retry loop always records an error before exiting"))
     }
 
-    fn verify_entry_blobs(&self, entry: &RegistryEntry) -> Result<Vec<PathBuf>, LibraryError> {
-        let mut paths = Vec::with_capacity(entry.blobs.len());
-        for blob in &entry.blobs {
-            let path = self.blob_path(blob);
-            let lazy = LazyLibrary::open(&path)?;
-            lazy.verify_all()?;
-            let named: Option<u64> = blob
-                .strip_suffix(".qtzl")
-                .and_then(|h| u64::from_str_radix(h, 16).ok());
-            if named != Some(lazy.header().checksum) {
-                return Err(LibraryError::Malformed(format!(
-                    "{}: blob content (checksum {:#018x}) does not match its \
-                     content-addressed name",
-                    path.display(),
-                    lazy.header().checksum
-                )));
-            }
-            paths.push(path);
+    fn verify_blob(&self, blob: &str) -> Result<PathBuf, LibraryError> {
+        let path = self.blob_path(blob);
+        let bytes = std::fs::read(&path).map_err(|e| LibraryError::Io(path_io_error(&path, e)))?;
+        let checksum = verified_header(&bytes)?.checksum;
+        let named: Option<u64> = blob
+            .strip_suffix(".qtzl")
+            .and_then(|h| u64::from_str_radix(h, 16).ok());
+        if named != Some(checksum) {
+            return Err(LibraryError::Malformed(format!(
+                "{}: blob content (checksum {checksum:#018x}) does not match its \
+                 content-addressed name",
+                path.display(),
+            )));
         }
-        Ok(paths)
+        Ok(path)
     }
 
-    /// Lists every key currently published, with its blob layout.
+    /// Lists every key currently published, with its blob.
     ///
     /// # Errors
     ///
@@ -377,8 +299,7 @@ impl Registry {
         let referenced: std::collections::HashSet<String> = self
             .list()?
             .into_iter()
-            .flat_map(|e| e.blobs)
-            .flat_map(|b| [format!("{b}.audit"), b])
+            .flat_map(|e| [format!("{}.audit", e.blob), e.blob])
             .collect();
         let mut removed = 0usize;
         let blobs_dir = self.root.join("blobs");
@@ -425,7 +346,7 @@ impl Registry {
             TMP_COUNTER.fetch_add(1, Ordering::Relaxed),
         ));
         library.save(&stage).map_err(LibraryError::Io)?;
-        let result = self.add(std::slice::from_ref(&stage));
+        let result = self.add(&stage);
         let _ = std::fs::remove_file(&stage);
         result
     }
@@ -435,7 +356,7 @@ fn parse_manifest(path: &Path, text: &str) -> Result<RegistryEntry, LibraryError
     let malformed = |what: &str| {
         LibraryError::Malformed(format!("{}: malformed manifest: {what}", path.display()))
     };
-    let mut lines = text.lines();
+    let mut lines = text.lines().filter(|line| !line.is_empty());
     if lines.next() != Some(MANIFEST_MAGIC) {
         return Err(malformed("bad magic line"));
     }
@@ -461,44 +382,23 @@ fn parse_manifest(path: &Path, text: &str) -> Result<RegistryEntry, LibraryError
         num_params: num("key line missing m")?,
         generator_version: num("key line missing generator version")?,
     };
-    let mut blobs = Vec::new();
-    let mut shard_count = 1usize;
-    for (i, line) in lines.enumerate() {
-        if line.is_empty() {
-            continue;
-        }
-        let mut parts = line.split_whitespace();
-        if parts.next() != Some("artifact") {
-            return Err(malformed("unexpected line"));
-        }
-        let seq_of = parts
-            .next()
-            .ok_or_else(|| malformed("artifact line missing sequence"))?;
-        let (seq, count) = seq_of
-            .split_once('/')
-            .and_then(|(s, c)| Some((s.parse::<usize>().ok()?, c.parse::<usize>().ok()?)))
-            .ok_or_else(|| malformed("artifact line has a malformed sequence"))?;
-        if seq != i || count == 0 {
-            return Err(malformed("artifact lines out of order"));
-        }
-        shard_count = count;
-        let _checksum = parts
-            .next()
-            .ok_or_else(|| malformed("artifact line missing checksum"))?;
-        blobs.push(
-            parts
-                .next()
-                .ok_or_else(|| malformed("artifact line missing blob name"))?
-                .to_string(),
-        );
-    }
-    if blobs.is_empty() || blobs.len() != shard_count {
-        return Err(malformed("artifact count does not match the group size"));
+    // Exactly one `artifact 0/1 <checksum> <blob>` line: a key resolves to
+    // one whole artifact.
+    let artifact_line = lines
+        .next()
+        .ok_or_else(|| malformed("missing artifact line"))?;
+    let parts: Vec<&str> = artifact_line.split_whitespace().collect();
+    let ["artifact", "0/1", _checksum, blob] = parts[..] else {
+        return Err(malformed(
+            "expected one `artifact 0/1 <checksum> <blob>` line",
+        ));
+    };
+    if lines.next().is_some() {
+        return Err(malformed("a key must name exactly one artifact"));
     }
     Ok(RegistryEntry {
         key,
-        shard_count,
-        blobs,
+        blob: blob.to_string(),
     })
 }
 
@@ -532,18 +432,20 @@ mod tests {
         let key = registry.add_library(&library).unwrap();
         assert_eq!(key, RegistryKey::from_header(library.header()));
 
-        let paths = registry.get(&key).unwrap();
-        assert_eq!(paths.len(), 1);
-        assert_eq!(std::fs::read(&paths[0]).unwrap(), library.to_bytes());
+        let path = registry.get(&key).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), library.to_bytes());
 
         let listed = registry.list().unwrap();
         assert_eq!(listed.len(), 1);
         assert_eq!(listed[0].key, key);
-        assert_eq!(listed[0].shard_count, 1);
+        assert_eq!(
+            Some(listed[0].blob.as_str()),
+            path.file_name().unwrap().to_str()
+        );
 
         // Nothing unreferenced yet; gc must keep the published blob.
         registry.gc().unwrap();
-        assert_eq!(registry.get(&key).unwrap(), paths);
+        assert_eq!(registry.get(&key).unwrap(), path);
         let _ = std::fs::remove_dir_all(&root);
     }
 
@@ -567,7 +469,7 @@ mod tests {
 
         let library = sample_library("Nam");
         let key = registry.add_library(&library).unwrap();
-        let blob = registry.get(&key).unwrap().remove(0);
+        let blob = registry.get(&key).unwrap();
         let mut bytes = std::fs::read(&blob).unwrap();
         let last = bytes.len() - 1;
         bytes[last] ^= 0xFF;
@@ -575,6 +477,24 @@ mod tests {
         assert!(
             registry.get(&key).is_err(),
             "corrupt blob must not be served"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn manifests_naming_more_than_one_artifact_are_refused() {
+        let root = temp_root("group");
+        let registry = Registry::open(&root).unwrap();
+        let key = registry.add_library(&sample_library("Nam")).unwrap();
+        let manifest = registry.manifest_path(&key);
+        let text = std::fs::read_to_string(&manifest).unwrap();
+        let grouped = text.replace("artifact 0/1 ", "artifact 0/2 ")
+            + "artifact 1/2 0000000000000000 0000000000000000.qtzl\n";
+        std::fs::write(&manifest, grouped).unwrap();
+        let err = registry.get(&key).unwrap_err();
+        assert!(
+            matches!(err, LibraryError::Malformed(_)) && err.to_string().contains("MANIFEST"),
+            "{err}"
         );
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -1,12 +1,10 @@
-//! Adversarial tests for the v2 lazy-loading path (DESIGN.md §12):
-//! truncation at every section boundary must surface as a *typed*
-//! [`LibraryError`] at open, corruption in a class the reader never touches
-//! must still be caught by the digest sweep, and I/O failures must name the
-//! offending path.
+//! Adversarial tests for the QTZL container at its edges: truncation at
+//! every section boundary must surface as a *typed* [`LibraryError`] at
+//! open, `quartz-lib inspect` must report the format version of the one
+//! container it reads and refuse the retired version 2, and I/O failures
+//! must name the offending path.
 
-use quartz_gen::{
-    Ecc, EccSet, LazyLibrary, Library, LibraryError, Registry, FORMAT_VERSION_V2, HEADER_LEN,
-};
+use quartz_gen::{Ecc, EccSet, Library, LibraryError, LibraryReader, Registry, HEADER_LEN};
 use quartz_ir::{Circuit, Gate, Instruction};
 
 fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
@@ -16,9 +14,8 @@ fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     c
 }
 
-/// Three classes with distinct anchors, packed as a v2 artifact with a
-/// prebuilt index.
-fn sample_v2() -> Library {
+/// Three classes with distinct anchors, packed with a prebuilt index.
+fn sample() -> Library {
     let mut set = EccSet::new(2, 0);
     set.eccs
         .push(Ecc::new(vec![pair(Gate::H, &[0]), Circuit::new(2, 0)]));
@@ -28,88 +25,42 @@ fn sample_v2() -> Library {
         pair(Gate::Cnot, &[0, 1]),
         Circuit::new(2, 0),
     ]));
-    Library::with_format("Nam", set, true, FORMAT_VERSION_V2)
+    Library::new("Nam", set, true)
 }
 
 #[test]
 fn truncation_at_every_section_boundary_is_a_typed_error() {
-    let library = sample_v2();
+    let library = sample();
     let bytes = library.to_bytes();
-    let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table().unwrap();
-    let sections_start = HEADER_LEN + table.encoded_len();
-    let ecc_len = library.header().ecc_len as usize;
+    let ecc_end = HEADER_LEN + library.header().ecc_len as usize;
+    assert!(library.header().has_index() && ecc_end < bytes.len());
 
-    let mut boundaries = vec![
+    let boundaries = [
         0,
         1,
         HEADER_LEN - 1,
         HEADER_LEN,
-        HEADER_LEN + 31,
-        HEADER_LEN + 32,
-        sections_start - 1,
-        sections_start,
-        sections_start + ecc_len - 1,
-        sections_start + ecc_len,
+        ecc_end - 1,
+        ecc_end,
         bytes.len() - 1,
     ];
-    boundaries.dedup();
-
     for cut in boundaries {
-        assert!(cut < bytes.len(), "test boundary {cut} is not a truncation");
-        let truncated = bytes[..cut].to_vec();
-        // The lazy open validates lengths before trusting any offset: every
-        // truncation is a typed Truncated error, never a panic, a silent
-        // partial library, or (on the mmap path) a fault at first touch.
-        match LazyLibrary::from_bytes(truncated.clone()) {
+        let truncated = &bytes[..cut];
+        // The reader validates lengths before trusting any offset: every
+        // truncation is a typed Truncated error, never a panic or a silent
+        // partial library.
+        match LibraryReader::new(truncated) {
             Err(LibraryError::Truncated { .. }) => {}
             // Cuts inside the 4-byte magic can't even prove the file is ours.
             Err(LibraryError::NotALibrary) if cut < 4 => {}
             Err(other) => panic!("truncation at {cut} gave a non-truncation error: {other}"),
             Ok(_) => panic!("truncation at {cut} opened successfully"),
         }
-        // The eager decoder rejects it too.
         assert!(
-            Library::from_bytes(&truncated).is_err(),
-            "eager decode accepted a truncation at {cut}"
+            Library::from_bytes(truncated).is_err(),
+            "decode accepted a truncation at {cut}"
         );
     }
-}
-
-#[test]
-fn corruption_in_an_untouched_class_is_caught_by_the_digest_sweep() {
-    let library = sample_v2();
-    let bytes = library.to_bytes();
-    let lazy = LazyLibrary::from_bytes(bytes.clone()).unwrap();
-    let table = lazy.class_table().unwrap().clone();
-    let sections_start = HEADER_LEN + table.encoded_len();
-
-    // Flip one byte inside class 2's payload.
-    let victim = 2usize;
-    let range = table.class_range(victim);
-    let mut corrupt = bytes;
-    corrupt[sections_start + range.start] ^= 0x01;
-
-    // Open succeeds (the flip is outside the checksum-sealed prefix), and a
-    // reader that only ever touches classes 0 and 1 — or the index — never
-    // trips over it...
-    let lazy = LazyLibrary::from_bytes(corrupt).unwrap();
-    assert!(lazy.class(0).is_ok());
-    assert!(lazy.class(1).is_ok());
-    assert!(lazy.index().is_ok());
-    assert_eq!(lazy.decoded_classes(), 2);
-
-    // ...which is exactly why `verify_all` (run by `registry get` and
-    // `verify-checksum --deep`) sweeps every digest without decoding:
-    match lazy.verify_all() {
-        Err(LibraryError::ClassDigestMismatch { class, .. }) => assert_eq!(class, victim),
-        other => panic!("digest sweep missed the untouched corrupt class: {other:?}"),
-    }
-    // And a first touch of the victim class reports the same.
-    assert!(matches!(
-        lazy.class(victim),
-        Err(LibraryError::ClassDigestMismatch { class, .. }) if class == victim
-    ));
 }
 
 #[test]
@@ -118,38 +69,48 @@ fn inspect_prints_the_format_version_for_both_container_versions() {
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
-    let v2 = sample_v2();
-    let v1 = Library::new("Nam", v2.ecc_set().clone(), true);
-    for (library, expected) in [
-        (&v1, "format version:     1"),
-        (&v2, "format version:     2"),
-    ] {
-        let path = dir.join(format!("v{}.qtzl", library.header().format_version));
-        library.save(&path).unwrap();
-        let output = std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
+    let inspect = |path: &std::path::Path| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_quartz-lib"))
             .args(["inspect", path.to_str().unwrap()])
             .output()
-            .unwrap();
-        assert!(output.status.success(), "inspect failed: {output:?}");
-        let stdout = String::from_utf8(output.stdout).unwrap();
-        assert!(
-            stdout.contains(expected),
-            "inspect output lacks '{expected}':\n{stdout}"
-        );
-    }
+            .unwrap()
+    };
+    let library = sample();
+    let v1 = dir.join("v1.qtzl");
+    library.save(&v1).unwrap();
+    let output = inspect(&v1);
+    assert!(output.status.success(), "inspect failed: {output:?}");
+    let stdout = String::from_utf8(output.stdout).unwrap();
+    assert!(
+        stdout.contains("format version:     1"),
+        "inspect output lacks the format version:\n{stdout}"
+    );
+
+    // A file stamped with the retired version 2 is refused by name.
+    let mut bytes = library.to_bytes();
+    bytes[4..6].copy_from_slice(&2u16.to_le_bytes());
+    let v2 = dir.join("v2.qtzl");
+    std::fs::write(&v2, bytes).unwrap();
+    let output = inspect(&v2);
+    assert_eq!(output.status.code(), Some(1), "{output:?}");
+    let stderr = String::from_utf8(output.stderr).unwrap();
+    assert!(
+        stderr.contains("unsupported library format version 2"),
+        "inspect must name the refused version:\n{stderr}"
+    );
 
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn io_errors_name_the_offending_path() {
-    let dir = std::env::temp_dir().join(format!("quartz_lazy_io_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("quartz_library_io_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
 
     // A missing artifact: the Io error's Display names the path.
     let missing = dir.join("not_there.qtzl");
-    let err = LazyLibrary::open(&missing).unwrap_err();
+    let err = Library::load(&missing).unwrap_err();
     assert!(matches!(err, LibraryError::Io(_)), "{err:?}");
     assert!(
         err.to_string().contains("not_there.qtzl"),

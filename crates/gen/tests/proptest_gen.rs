@@ -3,10 +3,7 @@
 //! and artifact validation must reject every corruption.
 
 use proptest::prelude::*;
-use quartz_gen::{
-    checksum64, Ecc, EccSet, LazyLibrary, Library, TransformationIndex, FORMAT_VERSION_V2,
-    HEADER_LEN,
-};
+use quartz_gen::{checksum64, Ecc, EccSet, Library, TransformationIndex};
 use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 
 /// Strategy producing a random instruction over `nq` qubits and `m ≥ 1`
@@ -124,101 +121,5 @@ proptest! {
         // FNV-1a's per-byte step is a bijection of the running state, so a
         // single flipped byte always changes the final checksum.
         prop_assert_ne!(checksum64(&bytes), checksum64(&corrupt));
-    }
-
-    #[test]
-    fn v2_artifacts_round_trip_losslessly(set in arb_ecc_set(2, 1), with_index_raw in 0u32..2) {
-        let with_index = with_index_raw == 1;
-        let library = Library::with_format("Nam", set.clone(), with_index, FORMAT_VERSION_V2);
-        let bytes = library.to_bytes();
-        // Eagerly...
-        let back = Library::from_bytes(&bytes).unwrap();
-        prop_assert_eq!(back.ecc_set(), &set);
-        prop_assert_eq!(back.header(), library.header());
-        prop_assert_eq!(back.to_bytes(), bytes);
-        // ...and through the lazy handle, class by class.
-        let lazy = LazyLibrary::from_bytes(bytes).unwrap();
-        prop_assert_eq!(&lazy.ecc_set().unwrap(), &set);
-        prop_assert_eq!(lazy.index().unwrap().is_some(), with_index);
-    }
-
-    /// The v2 corruption matrix: every single-byte flip is caught either at
-    /// open (header/class-table region, sealed by the artifact checksum) or
-    /// at the first lazy decode of exactly the section the flip landed in —
-    /// the touched class, or the index. Untouched classes still decode.
-    #[test]
-    fn every_v2_byte_flip_is_detected_at_open_or_first_touch(
-        set in arb_ecc_set(2, 1),
-        seed in 0u64..u64::MAX,
-    ) {
-        let library = Library::with_format("Nam", set, true, FORMAT_VERSION_V2);
-        let bytes = library.to_bytes();
-        let pos = (seed % bytes.len() as u64) as usize;
-        let mut corrupt = bytes.clone();
-        corrupt[pos] ^= 0x01;
-
-        // The eager decoder verifies everything up front.
-        prop_assert!(
-            Library::from_bytes(&corrupt).is_err(),
-            "flipping byte {pos} of {} went undetected eagerly",
-            bytes.len()
-        );
-
-        // The lazy path: locate the section the flip landed in.
-        let table = LazyLibrary::from_bytes(bytes.clone())
-            .unwrap()
-            .class_table()
-            .expect("v2 artifacts carry a class table")
-            .clone();
-        let sections_start = HEADER_LEN + table.encoded_len();
-        let ecc_len: usize = table.classes.iter().map(|e| e.len as usize).sum();
-
-        match LazyLibrary::from_bytes(corrupt) {
-            Err(_) => prop_assert!(
-                pos < sections_start,
-                "open rejected a flip at {pos}, outside the checksum-sealed \
-                 prefix of {sections_start} bytes"
-            ),
-            Ok(lazy) => {
-                prop_assert!(
-                    pos >= sections_start,
-                    "open accepted a flip at {pos}, inside the checksum-sealed \
-                     prefix of {sections_start} bytes"
-                );
-                if pos < sections_start + ecc_len {
-                    let touched = (0..table.classes.len())
-                        .find(|&i| {
-                            let r = table.class_range(i);
-                            (sections_start + r.start..sections_start + r.end).contains(&pos)
-                        })
-                        .expect("the flip is inside some class payload");
-                    for i in 0..table.classes.len() {
-                        if i == touched {
-                            prop_assert!(
-                                lazy.class(i).is_err(),
-                                "first decode of touched class {i} missed the flip at {pos}"
-                            );
-                        } else {
-                            prop_assert!(
-                                lazy.class(i).is_ok(),
-                                "untouched class {i} failed to decode"
-                            );
-                        }
-                    }
-                } else {
-                    prop_assert!(
-                        lazy.index().is_err(),
-                        "first index decode missed the flip at {pos}"
-                    );
-                    // Classes are untouched and still decode.
-                    for i in 0..table.classes.len() {
-                        prop_assert!(lazy.class(i).is_ok());
-                    }
-                }
-                // The digest-only sweep (what `registry get` and deep
-                // verification run) catches it regardless of which section.
-                prop_assert!(lazy.verify_all().is_err());
-            }
-        }
     }
 }

@@ -1,11 +1,11 @@
 //! Concurrency battery for the content-addressed registry (DESIGN.md
-//! §12.4): racing publishers must converge on one intact winner, and
+//! §12.2): racing publishers must converge on one intact winner, and
 //! readers racing publishers and the garbage collector must only ever see
 //! a key as *absent* or *fully intact* — never torn.
 
-use quartz_gen::{Ecc, EccSet, Library, LibraryError, Registry, RegistryKey, FORMAT_VERSION_V2};
+use quartz_gen::{Ecc, EccSet, Library, LibraryError, Registry, RegistryKey};
 use quartz_ir::{Circuit, Gate, Instruction};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
@@ -16,7 +16,7 @@ fn pair(gate: Gate, qubits: &[usize]) -> Circuit {
     c
 }
 
-/// A small Nam-legal v2 library; `with_index` toggles the trailing index
+/// A small Nam-legal library; `with_index` toggles the trailing index
 /// section, which changes the artifact checksum but not its registry key.
 fn sample_library(with_index: bool) -> Library {
     let mut set = EccSet::new(2, 0);
@@ -26,7 +26,7 @@ fn sample_library(with_index: bool) -> Library {
         pair(Gate::Cnot, &[0, 1]),
         Circuit::new(2, 0),
     ]));
-    Library::with_format("Nam", set, with_index, FORMAT_VERSION_V2)
+    Library::new("Nam", set, with_index)
 }
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -36,10 +36,10 @@ fn temp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-/// Reads the blobs a `get` resolved to, tolerating a concurrent gc sweep
+/// Reads the blob a `get` resolved to, tolerating a concurrent gc sweep
 /// between the resolve and the read (`None` = vanished, treat as absent).
-fn read_blobs(paths: &[PathBuf]) -> Option<Vec<Vec<u8>>> {
-    paths.iter().map(|p| std::fs::read(p).ok()).collect()
+fn read_blob(path: &Path) -> Option<Vec<u8>> {
+    std::fs::read(path).ok()
 }
 
 #[test]
@@ -52,9 +52,8 @@ fn racing_adds_converge_on_one_winner_byte_identical_to_a_solo_add() {
     // The reference: a solo add into its own registry.
     let solo_root = dir.join("solo");
     let solo = Registry::open(&solo_root).unwrap();
-    let key = solo.add(std::slice::from_ref(&artifact)).unwrap();
-    let solo_blobs: Vec<Vec<u8>> =
-        read_blobs(&solo.get(&key).unwrap()).expect("solo blobs are stable");
+    let key = solo.add(&artifact).unwrap();
+    let solo_blob = read_blob(&solo.get(&key).unwrap()).expect("solo blob is stable");
 
     // The race: 8 threads publishing the same artifact into one registry.
     let contended_root = dir.join("contended");
@@ -64,7 +63,7 @@ fn racing_adds_converge_on_one_winner_byte_identical_to_a_solo_add() {
             .map(|_| {
                 let root = contended_root.clone();
                 let artifact = artifact.clone();
-                scope.spawn(move || Registry::open(root).unwrap().add(&[artifact]).unwrap())
+                scope.spawn(move || Registry::open(root).unwrap().add(&artifact).unwrap())
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -75,8 +74,8 @@ fn racing_adds_converge_on_one_winner_byte_identical_to_a_solo_add() {
 
     // One intact winner, byte-identical to the solo publish.
     let contended = Registry::open(&contended_root).unwrap();
-    let raced_blobs = read_blobs(&contended.get(&key).unwrap()).expect("winner blobs are stable");
-    assert_eq!(raced_blobs, solo_blobs, "raced publish is torn or diverged");
+    let raced_blob = read_blob(&contended.get(&key).unwrap()).expect("winner blob is stable");
+    assert_eq!(raced_blob, solo_blob, "raced publish is torn or diverged");
     assert_eq!(contended.list().unwrap().len(), 1);
 
     // No torn staging files survive the race: gc sweeps tmp/ only.
@@ -120,7 +119,7 @@ fn concurrent_gets_during_adds_and_gcs_see_absent_or_intact_only() {
             let registry = Registry::open(writer_root).unwrap();
             for round in 0..24 {
                 let src = if round % 2 == 0 { &path_a } else { &path_b };
-                registry.add(std::slice::from_ref(src)).unwrap();
+                registry.add(src).unwrap();
                 registry.gc().unwrap();
             }
             writer_done.store(true, Ordering::Release);
@@ -139,13 +138,12 @@ fn concurrent_gets_during_adds_and_gcs_see_absent_or_intact_only() {
                 let mut intact = 0usize;
                 while !reader_done.load(Ordering::Acquire) {
                     match registry.get(&reader_key) {
-                        Ok(paths) => {
-                            if let Some(blobs) = read_blobs(&paths) {
-                                assert_eq!(blobs.len(), 1);
+                        Ok(path) => {
+                            if let Some(blob) = read_blob(&path) {
                                 assert!(
-                                    blobs[0] == bytes_a || blobs[0] == bytes_b,
+                                    blob == bytes_a || blob == bytes_b,
                                     "reader observed a torn artifact ({} bytes)",
-                                    blobs[0].len()
+                                    blob.len()
                                 );
                                 intact += 1;
                             }

@@ -37,8 +37,8 @@
 
 use quartz_gen::TransformationIndex;
 use quartz_gen::{
-    assemble_index, transformations_from_ecc_set, AuditStamp, LazyLibrary, LibraryError,
-    LibraryHeader, LibraryReader, Registry, RegistryKey,
+    transformations_from_ecc_set, AuditStamp, LibraryError, LibraryHeader, LibraryReader, Registry,
+    RegistryKey,
 };
 use quartz_verify::VerifierConfig;
 use std::collections::HashMap;
@@ -55,9 +55,6 @@ pub struct LoadedLibrary {
     index: Arc<TransformationIndex>,
     index_was_prebuilt: bool,
     load_time: Duration,
-    /// Lazy handles behind a registry-served entry (one per shard); empty
-    /// for direct path loads, which decode eagerly.
-    shards: Vec<Arc<LazyLibrary>>,
 }
 
 impl LoadedLibrary {
@@ -87,28 +84,6 @@ impl LoadedLibrary {
     pub fn load_time(&self) -> Duration {
         self.load_time
     }
-
-    /// Number of artifacts backing this entry: 1 for a direct path load or
-    /// a whole registry artifact, the group size for a sharded registry
-    /// entry.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len().max(1)
-    }
-
-    /// The lazy per-shard handles behind a registry-served entry, in shard
-    /// order. Empty for direct path loads.
-    pub fn lazy_shards(&self) -> &[Arc<LazyLibrary>] {
-        &self.shards
-    }
-
-    /// Equivalence classes decoded so far across the lazy handles — the
-    /// registry-served memory footprint is proportional to this, not to
-    /// the library size. Zero for direct path loads (they never route
-    /// through a lazy handle) and for registry entries whose prebuilt
-    /// index made class decoding unnecessary.
-    pub fn decoded_classes(&self) -> usize {
-        self.shards.iter().map(|s| s.decoded_classes()).sum()
-    }
 }
 
 /// A load-once, share-everywhere cache of library artifacts, keyed by
@@ -116,7 +91,6 @@ impl LoadedLibrary {
 #[derive(Debug, Default)]
 pub struct LibraryCache {
     entries: Mutex<HashMap<PathBuf, Arc<LoadedLibrary>>>,
-    by_key: Mutex<HashMap<RegistryKey, Arc<LoadedLibrary>>>,
     registry: Option<Registry>,
     require_audit: bool,
 }
@@ -142,10 +116,9 @@ impl LibraryCache {
     }
 
     /// Creates a cache backed by the content-addressed registry at `root`
-    /// (DESIGN.md §12.4): [`LibraryCache::get_for_key`] resolves keys
-    /// through it, lazily mapping each blob (or shard group) on the first
-    /// request and serving every later request from memory. Path-based
-    /// [`LibraryCache::get_or_load`] keeps working alongside.
+    /// (DESIGN.md §12.2): [`LibraryCache::get_for_key`] resolves keys to
+    /// blob paths through it and loads them like any other path.
+    /// Path-based [`LibraryCache::get_or_load`] keeps working alongside.
     ///
     /// # Errors
     ///
@@ -158,9 +131,8 @@ impl LibraryCache {
     }
 
     /// [`LibraryCache::with_registry`] + [`LibraryCache::requiring_audit`]:
-    /// every registry blob — each shard of a group individually — must
-    /// carry a live audit stamp published alongside it, and path loads are
-    /// gated the same way.
+    /// every registry blob must carry a live audit stamp published
+    /// alongside it, and path loads are gated the same way.
     ///
     /// # Errors
     ///
@@ -208,23 +180,19 @@ impl LibraryCache {
         Ok(Arc::clone(entry))
     }
 
-    /// Resolves `key` through the backing registry, lazily mapping its
-    /// blob — or its complete shard group — on the first request and
-    /// serving every later request from memory.
-    ///
-    /// Whole artifacts use their prebuilt index when present (decoded
-    /// straight from the mapped section; classes stay on disk); shard
-    /// groups get their parent's index reassembled from the per-shard
-    /// slices ([`quartz_gen::assemble_index`]), bit-identical to the index
-    /// a direct load of the unsharded parent produces. Every blob was
-    /// already fully re-verified by [`Registry::get`] before it is mapped.
+    /// Resolves `key` through the backing registry to its blob and returns
+    /// that blob's library through [`LibraryCache::get_or_load`]: loaded
+    /// on the first request, served from memory afterwards. Blobs are
+    /// content-addressed, so a republished key resolves to a new path and
+    /// a new entry. Every call re-verifies the blob ([`Registry::get`]).
     ///
     /// # Errors
     ///
     /// [`LibraryError::Malformed`] when the cache has no registry;
-    /// resolution and integrity errors from [`Registry::get`];
-    /// [`LibraryError::NotAudited`] for any blob — each shard of a group
-    /// individually — without a live stamp when auditing is required.
+    /// resolution and integrity errors from [`Registry::get`]; every
+    /// [`LibraryCache::get_or_load`] error, including
+    /// [`LibraryError::NotAudited`] for a blob without a live stamp when
+    /// auditing is required.
     pub fn get_for_key(&self, key: &RegistryKey) -> Result<Arc<LoadedLibrary>, LibraryError> {
         let registry = self.registry.as_ref().ok_or_else(|| {
             LibraryError::Malformed(
@@ -232,56 +200,12 @@ impl LibraryCache {
                     .to_string(),
             )
         })?;
-        if let Some(entry) = self.lock_keys().get(key) {
-            return Ok(Arc::clone(entry));
-        }
-        let start = Instant::now();
-        let paths = registry.get(key)?;
-        let mut shards = Vec::with_capacity(paths.len());
-        for path in &paths {
-            let lazy = LazyLibrary::open(path)?;
-            if self.require_audit {
-                let certified = AuditStamp::load_for(path).is_some_and(|stamp| {
-                    stamp.certifies(lazy.header().checksum, VerifierConfig::default().digest())
-                });
-                if !certified {
-                    return Err(LibraryError::NotAudited {
-                        path: path.display().to_string(),
-                    });
-                }
-            }
-            shards.push(Arc::new(lazy));
-        }
-        let (index, index_was_prebuilt) = if shards.len() > 1 {
-            let refs: Vec<&LazyLibrary> = shards.iter().map(|s| s.as_ref()).collect();
-            (Arc::new(assemble_index(&refs)?), true)
-        } else {
-            match shards[0].index()? {
-                Some(index) => (index, true),
-                None => {
-                    let set = shards[0].ecc_set()?;
-                    let index = TransformationIndex::new(transformations_from_ecc_set(&set, true));
-                    (Arc::new(index), false)
-                }
-            }
-        };
-        let loaded = Arc::new(LoadedLibrary {
-            path: registry.root().join("keys").join(key.dir_name()),
-            header: group_header(&shards),
-            index,
-            index_was_prebuilt,
-            load_time: start.elapsed(),
-            shards,
-        });
-        let mut entries = self.lock_keys();
-        let entry = entries.entry(key.clone()).or_insert(loaded);
-        Ok(Arc::clone(entry))
+        self.get_or_load(registry.get(key)?)
     }
 
-    /// Number of artifacts resident in the cache (path entries plus
-    /// registry-key entries).
+    /// Number of artifacts resident in the cache.
     pub fn len(&self) -> usize {
-        self.lock().len() + self.lock_keys().len()
+        self.lock().len()
     }
 
     /// Returns `true` when no artifact has been loaded yet.
@@ -291,12 +215,6 @@ impl LibraryCache {
 
     fn lock(&self) -> std::sync::MutexGuard<'_, HashMap<PathBuf, Arc<LoadedLibrary>>> {
         self.entries
-            .lock()
-            .unwrap_or_else(|poisoned| poisoned.into_inner())
-    }
-
-    fn lock_keys(&self) -> std::sync::MutexGuard<'_, HashMap<RegistryKey, Arc<LoadedLibrary>>> {
-        self.by_key
             .lock()
             .unwrap_or_else(|poisoned| poisoned.into_inner())
     }
@@ -333,28 +251,8 @@ impl LibraryCache {
             index: Arc::new(index),
             index_was_prebuilt,
             load_time: start.elapsed(),
-            shards: Vec::new(),
         })
     }
-}
-
-/// The header a registry entry reports: the artifact's own header for a
-/// whole library; for a shard group, the parent's identity reassembled
-/// from the uniform shard headers and the parent provenance the class
-/// tables carry (the parent's class count and checksum, section sums
-/// across the group).
-fn group_header(shards: &[Arc<LazyLibrary>]) -> LibraryHeader {
-    let mut header = shards[0].header().clone();
-    if let Some(t) = shards[0].class_table().filter(|t| t.is_shard()) {
-        header.format_version = t.parent_format_version as u16;
-        header.num_eccs = t.parent_num_eccs;
-        header.checksum = t.parent_checksum;
-        header.total_circuits = shards.iter().map(|s| s.header().total_circuits).sum();
-        header.total_instructions = shards.iter().map(|s| s.header().total_instructions).sum();
-        header.ecc_len = shards.iter().map(|s| s.header().ecc_len).sum();
-        header.index_len = shards.iter().map(|s| s.header().index_len).sum();
-    }
-    header
 }
 
 #[cfg(test)]
@@ -439,7 +337,7 @@ mod tests {
         assert!(cache.is_empty());
     }
 
-    fn shardable_set() -> EccSet {
+    fn three_class_set() -> EccSet {
         let mut set = EccSet::new(2, 0);
         for gate in [Gate::H, Gate::X] {
             let mut pair = Circuit::new(2, 0);
@@ -464,72 +362,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_shard_groups_resolve_to_the_parent_index_without_decoding_classes() {
-        use quartz_gen::{shard_library, Registry, RegistryKey, FORMAT_VERSION_V2};
+    fn registry_whole_artifacts_resolve_lazily_and_keyless_caches_refuse_keys() {
+        let root = temp_registry_dir("whole");
+        let library = Library::new("Nam", three_class_set(), true);
+        let registry = Registry::open(&root).unwrap();
+        registry.add_library(&library).unwrap();
 
-        let root = temp_registry_dir("shards");
-        let parent = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
-        let shard_dir = root.join("staging");
-        std::fs::create_dir_all(&shard_dir).unwrap();
-        let mut paths = Vec::new();
-        for (i, bytes) in shard_library(&parent, 2).unwrap().iter().enumerate() {
-            let path = shard_dir.join(format!("parent.shard{i}.qtzl"));
-            std::fs::write(&path, bytes).unwrap();
-            paths.push(path);
-        }
-        Registry::open(&root).unwrap().add(&paths).unwrap();
-
+        // Nothing is loaded until the first request for the key.
         let cache = LibraryCache::with_registry(&root).unwrap();
         assert!(cache.registry().is_some());
-        let key = RegistryKey::from_header(parent.header());
-        let loaded = cache.get_for_key(&key).unwrap();
-        assert_eq!(loaded.shard_count(), 2);
-        assert_eq!(loaded.lazy_shards().len(), 2);
-        // The entry reports the *parent's* identity...
-        assert_eq!(loaded.header().checksum, parent.header().checksum);
-        assert_eq!(loaded.header().num_eccs, parent.header().num_eccs);
-        // ...and its index is bit-identical to the unsharded one, assembled
-        // from the per-shard slices without touching any class payload.
-        assert!(loaded.index_was_prebuilt());
-        assert_eq!(
-            loaded.shared_index().transformations(),
-            parent.index().unwrap().transformations()
-        );
-        assert_eq!(loaded.decoded_classes(), 0);
-
-        // The second request is served from memory.
-        let again = cache.get_for_key(&key).unwrap();
-        assert!(Arc::ptr_eq(&loaded, &again));
-        assert_eq!(cache.len(), 1);
-
-        let _ = std::fs::remove_dir_all(&root);
-    }
-
-    #[test]
-    fn registry_whole_artifacts_resolve_lazily_and_keyless_caches_refuse_keys() {
-        use quartz_gen::{Registry, RegistryKey, FORMAT_VERSION_V2};
-
-        let root = temp_registry_dir("whole");
-        let library = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
-        Registry::open(&root)
-            .unwrap()
-            .add_library(&library)
-            .unwrap();
-
-        let cache = LibraryCache::with_registry(&root).unwrap();
+        assert!(cache.is_empty());
         let key = RegistryKey::from_header(library.header());
         let loaded = cache.get_for_key(&key).unwrap();
-        assert_eq!(loaded.shard_count(), 1);
+        assert_eq!(loaded.header(), library.header());
         assert!(loaded.index_was_prebuilt());
-        assert_eq!(
-            loaded.decoded_classes(),
-            0,
-            "prebuilt index needs no classes"
-        );
         assert_eq!(
             loaded.shared_index().transformations(),
             library.index().unwrap().transformations()
         );
+
+        // Later requests, by key or by the blob's path, share the entry.
+        assert!(Arc::ptr_eq(&loaded, &cache.get_for_key(&key).unwrap()));
+        let blob = registry.get(&key).unwrap();
+        assert!(Arc::ptr_eq(&loaded, &cache.get_or_load(&blob).unwrap()));
+        assert_eq!(cache.len(), 1);
 
         let keyless = LibraryCache::new();
         let err = keyless.get_for_key(&key).unwrap_err();
@@ -540,50 +396,38 @@ mod tests {
 
     #[test]
     fn registry_audit_gating_is_per_shard() {
-        use quartz_gen::FORMAT_VERSION_V2;
-        use quartz_gen::{shard_library, AuditConfig, Auditor, Registry, RegistryKey};
+        use quartz_gen::{AuditConfig, Auditor};
 
         let root = temp_registry_dir("audit");
-        let parent = Library::with_format("Nam", shardable_set(), true, FORMAT_VERSION_V2);
-        let shard_dir = root.join("staging");
-        std::fs::create_dir_all(&shard_dir).unwrap();
-        let mut paths = Vec::new();
-        for (i, bytes) in shard_library(&parent, 2).unwrap().iter().enumerate() {
-            let path = shard_dir.join(format!("parent.shard{i}.qtzl"));
-            std::fs::write(&path, bytes).unwrap();
-            paths.push(path);
-        }
-        // Stamp only shard 0: the group must still be refused — audit
-        // gating applies to every shard individually.
-        let report = Auditor::new(AuditConfig::default())
-            .audit_artifact(&paths[0], false)
-            .unwrap();
-        report
-            .stamp()
-            .expect("shard audits clean")
-            .save_for(&paths[0])
-            .unwrap();
-        Registry::open(&root).unwrap().add(&paths).unwrap();
+        let staging = root.join("staging");
+        std::fs::create_dir_all(&staging).unwrap();
+        let path = staging.join("three.qtzl");
+        let library = Library::new("Nam", three_class_set(), true);
+        library.save(&path).unwrap();
+        let registry = Registry::open(&root).unwrap();
+        registry.add(&path).unwrap();
 
+        // Published without a stamp: the blob is refused.
         let cache = LibraryCache::with_registry_requiring_audit(&root).unwrap();
         assert!(cache.requires_audit());
-        let key = RegistryKey::from_header(parent.header());
+        let key = RegistryKey::from_header(library.header());
         let err = cache.get_for_key(&key).unwrap_err();
         assert!(matches!(err, LibraryError::NotAudited { .. }), "{err}");
         assert!(cache.is_empty(), "nothing may be cached on a refused load");
 
-        // Stamping the remaining shard unblocks the key.
+        // Stamping the artifact and republishing it publishes the sidecar
+        // next to the same blob, which unblocks the key.
         let report = Auditor::new(AuditConfig::default())
-            .audit_artifact(&paths[1], false)
+            .audit_artifact(&path, false)
             .unwrap();
         report
             .stamp()
-            .expect("shard audits clean")
-            .save_for(&paths[1])
+            .expect("the sample set audits clean")
+            .save_for(&path)
             .unwrap();
-        Registry::open(&root).unwrap().add(&paths).unwrap();
+        registry.add(&path).unwrap();
         let loaded = cache.get_for_key(&key).unwrap();
-        assert_eq!(loaded.shard_count(), 2);
+        assert_eq!(loaded.header().checksum, library.header().checksum);
 
         let _ = std::fs::remove_dir_all(&root);
     }

@@ -315,6 +315,9 @@ pub struct ServiceEvent {
 /// One request's slot in the scheduler table.
 struct Slot {
     priority: Priority,
+    /// The iteration budget the request was admitted with, reported in
+    /// every state ([`RequestStatus::budget`]).
+    budget: usize,
     admitted_at: Instant,
     deadline: Option<Instant>,
     /// Per-request engine: this request's index behind the shared
@@ -450,6 +453,7 @@ impl ServiceScheduler {
         let id = RequestId(self.slots.len() as u64);
         self.slots.push(Slot {
             priority: request.priority,
+            budget: request.budget,
             admitted_at,
             deadline: request.deadline.map(|d| admitted_at + d),
             optimizer,
@@ -487,18 +491,9 @@ impl ServiceScheduler {
     /// Point-in-time snapshot of a request, or `None` for unknown ids.
     pub fn status(&self, id: RequestId) -> Option<RequestStatus> {
         let slot = self.slots.get(id.index())?;
-        let (best_cost, initial_cost, iterations, budget) = match (&slot.frontier, &slot.result) {
-            (Some(f), _) => (f.best_cost(), f.initial_cost(), f.iterations(), f.budget()),
-            (None, Some(r)) => (
-                r.best_cost,
-                r.initial_cost,
-                r.iterations,
-                // Terminal slots report the budget they ran under via the
-                // result's iteration count bound; the exact original budget
-                // is not kept past finalization, so report iterations (the
-                // spent budget) — callers only use this field while running.
-                r.iterations,
-            ),
+        let (best_cost, initial_cost, iterations) = match (&slot.frontier, &slot.result) {
+            (Some(f), _) => (f.best_cost(), f.initial_cost(), f.iterations()),
+            (None, Some(r)) => (r.best_cost, r.initial_cost, r.iterations),
             (None, None) => unreachable!("terminal slots always retain a result"),
         };
         Some(RequestStatus {
@@ -508,7 +503,7 @@ impl ServiceScheduler {
             best_cost,
             initial_cost,
             iterations,
-            budget,
+            budget: slot.budget,
         })
     }
 
@@ -1188,6 +1183,33 @@ mod tests {
         assert_eq!(served.best_cost, solo.best_cost);
         assert_eq!(served.iterations, solo.iterations);
         assert_eq!(served.circuits_seen, solo.circuits_seen);
+    }
+
+    #[test]
+    fn terminal_requests_report_their_admitted_budget() {
+        let mut scheduler = nam_scheduler(1, 64);
+        let bounded = scheduler
+            .admit(ServiceRequest::new(cnot_pairs(2)).with_budget(1000))
+            .unwrap();
+        let unbounded = scheduler.admit(ServiceRequest::new(cnot_pairs(2))).unwrap();
+        let cancelled = scheduler
+            .admit(ServiceRequest::new(h_ladder(6)).with_budget(50))
+            .unwrap();
+        scheduler.cancel(cancelled);
+        run_to_completion(&mut scheduler);
+
+        for (id, state, budget) in [
+            (bounded, RequestState::Done, 1000),
+            (unbounded, RequestState::Done, usize::MAX),
+            (cancelled, RequestState::Cancelled, 50),
+        ] {
+            let status = scheduler.status(id).unwrap();
+            assert_eq!(status.state, state);
+            assert_eq!(status.budget, budget);
+            // The request ended short of its budget, so reporting the spent
+            // iterations instead would be visibly wrong.
+            assert!(status.iterations < budget, "{status:?}");
+        }
     }
 
     #[test]

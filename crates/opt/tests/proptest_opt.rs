@@ -563,35 +563,27 @@ proptest! {
     }
 }
 
-/// The same NAM (2, 2, 2) library resolved through a sharded content-addressed
-/// registry (DESIGN.md §12.4): packed as a v2 artifact, split into two
-/// shards, published, and loaded back through [`LibraryCache::with_registry`]
-/// — so the returned index went through the whole lazy shard-routing path.
+/// The same NAM (2, 2, 2) library resolved through the content-addressed
+/// registry (DESIGN.md §12.2): packed, published, and loaded back through
+/// [`LibraryCache::with_registry`] — so the returned index went through
+/// the whole encode → publish → verify → decode path.
 fn registry_nam_index() -> Arc<quartz_opt::TransformationIndex> {
-    use quartz_gen::{shard_library, Registry, RegistryKey, FORMAT_VERSION_V2};
+    use quartz_gen::{Registry, RegistryKey};
     use quartz_opt::LibraryCache;
     use std::sync::OnceLock;
     static INDEX: OnceLock<Arc<quartz_opt::TransformationIndex>> = OnceLock::new();
     Arc::clone(INDEX.get_or_init(|| {
         let (set, _) = Generator::new(GateSet::nam(), GenConfig::standard(2, 2, 2)).run();
-        let library = Library::with_format("Nam", set, true, FORMAT_VERSION_V2);
+        let library = Library::new("Nam", set, true);
         let key = RegistryKey::from_header(library.header());
         let dir =
             std::env::temp_dir().join(format!("quartz_proptest_registry_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
-        let paths: Vec<_> = shard_library(&library, 2)
-            .unwrap()
-            .iter()
-            .enumerate()
-            .map(|(i, bytes)| {
-                let path = dir.join(format!("nam.shard{i}.qtzl"));
-                std::fs::write(&path, bytes).unwrap();
-                path
-            })
-            .collect();
+        let path = dir.join("nam.qtzl");
+        library.save(&path).unwrap();
         let registry = Registry::open(dir.join("registry")).unwrap();
-        registry.add(&paths).unwrap();
+        registry.add(&path).unwrap();
         let cache = LibraryCache::with_registry(dir.join("registry")).unwrap();
         cache.get_for_key(&key).unwrap().shared_index()
     }))
@@ -601,11 +593,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Registry routing under co-tenancy: the scheduler serves from an index
-    /// assembled out of registry shards while the standalone reference runs
+    /// decoded out of a registry blob while the standalone reference runs
     /// against the directly generated index — outcomes must still be
-    /// bit-identical. Where a library's bytes come from (committed path,
-    /// registry blob, shard group) may change *how* the index is built,
-    /// never what the search computes.
+    /// bit-identical. Where a library's bytes come from (committed path or
+    /// registry blob) may change *how* the index is obtained, never what
+    /// the search computes.
     #[test]
     fn registry_backed_cotenant_outcomes_are_bit_identical_to_direct_loads(
         mix in prop::collection::vec(

@@ -11,9 +11,9 @@
 //! stamp (`quartz-lib audit FILE --write-stamp`, DESIGN.md §11) or the
 //! load is refused. With `--registry DIR`, gate sets resolve through the
 //! content-addressed registry at DIR (`quartz-lib registry add`,
-//! DESIGN.md §12.4) instead of the committed paths — whole artifacts or
-//! shard groups, lazily mapped on first request. See DESIGN.md §10 and
-//! the README quickstart.
+//! DESIGN.md §12.2) instead of the committed paths, each key's artifact
+//! loaded on its first request. See DESIGN.md §10 and the README
+//! quickstart.
 
 use quartz_serve::{Daemon, DaemonConfig, Server};
 

@@ -16,11 +16,10 @@
 //!    never the result.
 //!
 //! With `--registry DIR`, the daemon resolves gate sets through the
-//! content-addressed registry at DIR (whole artifacts or shard groups)
-//! while the standalone reference runs keep loading the committed paths
-//! directly — so both checks become the registry-vs-direct bit-identity
-//! assertion (the CI `libraries` job drives this against a sharded
-//! registry).
+//! content-addressed registry at DIR while the standalone reference runs
+//! keep loading the committed paths directly — so both checks become the
+//! registry-vs-direct bit-identity assertion (the CI `libraries` job
+//! drives this against a registry holding every committed artifact).
 //!
 //! Exits non-zero with a diff on any mismatch.
 

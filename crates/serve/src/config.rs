@@ -33,13 +33,12 @@ pub struct DaemonConfig {
     /// --write-stamp`, certifying the artifact's checksum under the default
     /// verifier configuration); unstamped artifacts are refused at load
     /// time. Off by default — `quartz-serve --require-audited` turns it on.
-    /// With a registry (`registry_root`), the gate applies to every blob —
-    /// each shard of a group individually.
+    /// With a registry (`registry_root`), the gate applies to every blob.
     pub require_audited: bool,
     /// When set, gate sets are routed through the content-addressed
-    /// registry at this root (DESIGN.md §12.4) instead of the committed
-    /// `libraries/*.qtzl` paths: each gate set's key resolves to a whole
-    /// artifact or a shard group, lazily mapped on first request.
+    /// registry at this root (DESIGN.md §12.2) instead of the committed
+    /// `libraries/*.qtzl` paths: each gate set's key resolves to one
+    /// artifact, loaded on its first request.
     /// `quartz-serve --registry DIR` sets it.
     pub registry_root: Option<PathBuf>,
 }

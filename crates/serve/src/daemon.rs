@@ -113,8 +113,8 @@ impl Daemon {
     /// library artifacts (zero-generation startup: the NAM library is
     /// loaded eagerly as the base index, the others lazily on first use).
     /// With [`DaemonConfig::registry_root`] set, gate sets resolve through
-    /// the content-addressed registry instead — each key's blob or shard
-    /// group is mapped lazily on its first request.
+    /// the content-addressed registry instead — each key's blob is loaded
+    /// on its first request.
     pub fn new(config: DaemonConfig) -> Result<Daemon, SubmitError> {
         let cache = match (&config.registry_root, config.require_audited) {
             (Some(root), true) => LibraryCache::with_registry_requiring_audit(root)
@@ -492,6 +492,30 @@ mod tests {
         let status = daemon.status(id).unwrap();
         assert_eq!(status.state, RequestState::Done);
         assert_eq!(status.best_cost, 0);
+    }
+
+    #[test]
+    fn unbounded_requests_report_no_budget_over_the_wire_after_done() {
+        let server = crate::Server::bind("127.0.0.1:0", daemon()).unwrap();
+        let client = crate::Client::new(server.addr());
+        let id = client.submit(&SubmitRequest::new(QASM)).unwrap();
+        assert_eq!(client.wait_result(id).unwrap().state, RequestState::Done);
+
+        let raw = client
+            .send_raw(format!("GET /v1/status/{id} HTTP/1.1\r\n\r\n").as_bytes())
+            .unwrap();
+        assert_eq!(raw.status, 200);
+        let body = crate::json::parse(std::str::from_utf8(&raw.body).unwrap()).unwrap();
+        assert_eq!(
+            body.get("state"),
+            Some(&crate::json::Json::Str("done".into()))
+        );
+        assert_eq!(
+            body.get("budget"),
+            Some(&crate::json::Json::Null),
+            "an unbounded request has no budget to report, finished or not"
+        );
+        assert_eq!(client.status(id).unwrap().budget, None);
     }
 
     #[test]

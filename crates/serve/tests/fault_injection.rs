@@ -325,9 +325,10 @@ fn deadline_expiry_finalizes_between_steps_without_poisoning_cotenants() {
     let victim = submit_victim(&client);
 
     // Unbudgeted but deadlined: the request must settle as
-    // deadline_expired (it cannot exhaust the motif circuit's search space in
-    // 30ms) with a partial outcome served.
-    let mut request = SubmitRequest::new(multi_motif_qasm());
+    // deadline_expired with a partial outcome served. It needs a circuit
+    // whose frontier can never run out: the motif circuit reduces to cost 0
+    // and then exhausts its queue, within 30ms on a fast enough machine.
+    let mut request = SubmitRequest::new(endless_qasm());
     request.deadline_ms = Some(30);
     let id = client.submit(&request).expect("submit deadlined");
     let result = client.wait_result(id).expect("deadlined result");

@@ -445,112 +445,6 @@ fn fingerprint_prefilter_service_batch_is_bit_identical_with_it_off() {
     );
 }
 
-/// Backward-compat acceptance for the v2 format (DESIGN.md §12): every
-/// committed v1 artifact loads through the new lazy reader, repacks to v2,
-/// and the repack drives bit-identical `SearchResult`s — with the same
-/// per-class audit digests the committed sidecar certifies, since the
-/// digests are a function of the decoded classes, not the container format.
-#[test]
-fn committed_v1_artifacts_repack_to_v2_with_identical_results_and_audits() {
-    use quartz::gen::{
-        class_digest, AuditStamp, LazyLibrary, Library, FORMAT_VERSION, FORMAT_VERSION_V2,
-    };
-    use quartz::opt::LibraryCache;
-
-    let libraries = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("libraries");
-    let temp = std::env::temp_dir().join(format!("quartz_v1_compat_{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&temp);
-    std::fs::create_dir_all(&temp).unwrap();
-
-    let mut toy = Circuit::new(2, 0);
-    toy.push(Instruction::new(Gate::H, vec![0], vec![]));
-    toy.push(Instruction::new(Gate::H, vec![0], vec![]));
-    toy.push(Instruction::new(Gate::Cnot, vec![0, 1], vec![]));
-
-    for (file, preprocess) in [
-        ("nam_n3_q2.qtzl", preprocess_nam as fn(&Circuit) -> Circuit),
-        ("ibm_n2_q2.qtzl", preprocess_ibm),
-        ("rigetti_n2_q2.qtzl", preprocess_rigetti),
-    ] {
-        let v1_path = libraries.join(file);
-
-        // The committed v1 artifact loads through the *new* reader.
-        let lazy_v1 = LazyLibrary::open(&v1_path).unwrap();
-        assert_eq!(lazy_v1.header().format_version, FORMAT_VERSION, "{file}");
-        assert!(lazy_v1.class_table().is_none(), "{file}: v1 has no table");
-        let set = lazy_v1.ecc_set().unwrap();
-
-        // Repack to v2 and read it back both lazily and eagerly.
-        let header = lazy_v1.header();
-        let v2 = Library::with_format(
-            header.gate_set.clone(),
-            set.clone(),
-            header.has_index(),
-            FORMAT_VERSION_V2,
-        );
-        let v2_path = temp.join(file);
-        v2.save(&v2_path).unwrap();
-        let lazy_v2 = LazyLibrary::open(&v2_path).unwrap();
-        assert_eq!(lazy_v2.header().format_version, FORMAT_VERSION_V2, "{file}");
-        assert_eq!(lazy_v2.ecc_set().unwrap(), set, "{file}: repack lost data");
-
-        // The committed audit sidecar's class digests are reproduced
-        // exactly by the v2 repack (only the container checksum differs).
-        let stamp = AuditStamp::load_for(&v1_path)
-            .expect("committed artifacts carry audit sidecars (quartz-lib audit --write-stamp)");
-        assert!(
-            stamp.certifies(header.checksum, stamp.verifier_digest),
-            "{file}: stale committed sidecar"
-        );
-        let v2_digests: Vec<u64> = v2
-            .ecc_set()
-            .eccs
-            .iter()
-            .map(|ecc| {
-                class_digest(
-                    ecc,
-                    header.num_qubits as usize,
-                    header.num_params as usize,
-                    stamp.verifier_digest,
-                )
-            })
-            .collect();
-        assert_eq!(
-            v2_digests, stamp.class_digests,
-            "{file}: v2 repack changed the audited class content"
-        );
-
-        // Both containers drive bit-identical searches.
-        let config = SearchConfig {
-            timeout: Duration::from_secs(300),
-            max_iterations: 8,
-            ..SearchConfig::default()
-        };
-        let cache = LibraryCache::new();
-        let from_v1 = OptimizationService::from_library(
-            &cache.get_or_load(&v1_path).unwrap(),
-            config.clone(),
-        );
-        let from_v2 =
-            OptimizationService::from_library(&cache.get_or_load(&v2_path).unwrap(), config);
-        let circuit = preprocess(&toy);
-        let a = from_v1.optimizer().optimize_with_budget(&circuit, 8);
-        let b = from_v2.optimizer().optimize_with_budget(&circuit, 8);
-        assert_eq!(a.best_circuit, b.best_circuit, "{file}");
-        assert_eq!(a.best_cost, b.best_cost, "{file}");
-        assert_eq!(a.initial_cost, b.initial_cost, "{file}");
-        assert_eq!(a.iterations, b.iterations, "{file}");
-        assert_eq!(a.circuits_seen, b.circuits_seen, "{file}");
-        assert_eq!(a.match_attempts, b.match_attempts, "{file}");
-        assert_eq!(a.dedup_hits, b.dedup_hits, "{file}");
-        let trace_a: Vec<usize> = a.improvement_trace.iter().map(|&(_, c)| c).collect();
-        let trace_b: Vec<usize> = b.improvement_trace.iter().map(|&(_, c)| c).collect();
-        assert_eq!(trace_a, trace_b, "{file}");
-    }
-
-    let _ = std::fs::remove_dir_all(&temp);
-}
-
 /// PR 7 acceptance (DESIGN.md §10): the daemon's response outcomes are
 /// bit-identical across server thread counts and admission orders, and
 /// equal to standalone `Optimizer` runs under the same budgets — including
