@@ -6,11 +6,12 @@
 //! run and regressions show up as diffs between artifacts rather than as
 //! anecdotes in log output.
 //!
-//! The workspace builds offline (no `serde_json`), and a report is a flat
-//! two-level structure — named suites of named numeric metrics — so the
-//! writer is a direct, dependency-free encoder. Keys keep insertion order;
-//! values are JSON numbers (non-finite values are encoded as `null` rather
-//! than producing invalid JSON).
+//! A report is a flat two-level structure — named suites of named numeric
+//! metrics — encoded and decoded through the workspace's one JSON codec,
+//! [`quartz_gen::json`], in its pretty layout. Keys keep insertion order;
+//! values are JSON numbers (integral values print without a fraction, and
+//! non-finite values are encoded as `null` rather than producing invalid
+//! JSON).
 //!
 //! ```
 //! use quartz_bench::report::BenchReport;
@@ -24,7 +25,7 @@
 //! assert!(json.contains("\"generate_secs\": 1.25"));
 //! ```
 
-use std::fmt::Write as _;
+use quartz_gen::json::{self, Json};
 use std::io;
 use std::path::Path;
 
@@ -97,32 +98,24 @@ impl BenchReport {
 
     /// Encodes the report as pretty-printed JSON.
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"source\": {},", json_string(&self.source));
-        out.push_str("  \"schema_version\": 1,\n");
-        out.push_str("  \"suites\": {");
-        for (i, (name, suite)) in self.suites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n    {}: {{", json_string(name));
-            for (j, (key, value)) in suite.metrics.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "\n      {}: {}", json_string(key), json_number(*value));
-            }
-            if !suite.metrics.is_empty() {
-                out.push_str("\n    ");
-            }
-            out.push('}');
-        }
-        if !self.suites.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("}\n}\n");
-        out
+        let suites = self.suites.iter().map(|(name, suite)| {
+            let metrics = suite.metrics.iter().map(|(key, value)| {
+                // Integral values print without a fraction.
+                let number = if *value == value.trunc() && value.abs() < 1e15 {
+                    Json::Int(*value as i128)
+                } else {
+                    Json::Float(*value)
+                };
+                (key.clone(), number)
+            });
+            (name.clone(), Json::Object(metrics.collect()))
+        });
+        let report = Json::Object(vec![
+            ("source".into(), Json::Str(self.source.clone())),
+            ("schema_version".into(), Json::Int(1)),
+            ("suites".into(), Json::Object(suites.collect())),
+        ]);
+        format!("{report:#}\n")
     }
 
     /// The driver name the report is attributed to.
@@ -144,65 +137,46 @@ impl BenchReport {
     /// Decodes a report from the JSON shape [`BenchReport::to_json`] emits —
     /// the flat two-level `source`/`schema_version`/`suites` structure with
     /// numeric (or `null`) metric values. `null` metrics decode as NaN,
-    /// mirroring the encoder. Rejects anything structurally different with a
-    /// positioned error message; unknown top-level keys are an error too, so
-    /// a schema bump is loud rather than silently lossy.
-    pub fn parse(json: &str) -> Result<BenchReport, String> {
-        let mut p = Parser {
-            bytes: json.as_bytes(),
-            pos: 0,
+    /// mirroring the encoder. Rejects anything structurally different (syntax
+    /// errors carry their line, column and byte); unknown top-level keys are
+    /// an error too, so a schema bump is loud rather than silently lossy.
+    pub fn parse(text: &str) -> Result<BenchReport, String> {
+        let Json::Object(members) = json::parse(text).map_err(|e| e.to_string())? else {
+            return Err("expected a JSON object".to_string());
         };
-        let mut source: Option<String> = None;
-        let mut suites: Vec<(String, BenchSuite)> = Vec::new();
-        p.expect(b'{')?;
-        loop {
-            let key = p.string()?;
-            p.expect(b':')?;
-            match key.as_str() {
-                "source" => source = Some(p.string()?),
-                "schema_version" => {
-                    let version = p.number()?;
-                    if version != 1.0 {
-                        return Err(format!("unsupported schema_version {version}"));
-                    }
+        let mut source = None;
+        let mut suites = Vec::new();
+        for (key, value) in members {
+            match (key.as_str(), value) {
+                ("source", Json::Str(s)) => source = Some(s),
+                ("schema_version", Json::Int(1)) => {}
+                ("schema_version", other) => {
+                    return Err(format!("unsupported schema_version {other}"))
                 }
-                "suites" => {
-                    p.expect(b'{')?;
-                    if !p.try_expect(b'}') {
-                        loop {
-                            let name = p.string()?;
-                            p.expect(b':')?;
-                            let mut suite = BenchSuite::default();
-                            p.expect(b'{')?;
-                            if !p.try_expect(b'}') {
-                                loop {
-                                    let metric = p.string()?;
-                                    p.expect(b':')?;
-                                    suite.metric(&metric, p.number()?);
-                                    if !p.try_expect(b',') {
-                                        break;
-                                    }
+                ("suites", Json::Object(named)) => {
+                    for (name, metrics) in named {
+                        let Json::Object(metrics) = metrics else {
+                            return Err(format!("suite {name:?} is not an object"));
+                        };
+                        let mut suite = BenchSuite::default();
+                        for (metric, value) in metrics {
+                            let value = match value {
+                                Json::Int(i) => i as f64,
+                                Json::Float(f) => f,
+                                Json::Null => f64::NAN,
+                                other => {
+                                    return Err(format!("{name}/{metric} is not a number: {other}"))
                                 }
-                                p.expect(b'}')?;
-                            }
-                            suites.push((name, suite));
-                            if !p.try_expect(b',') {
-                                break;
-                            }
+                            };
+                            suite.metric(&metric, value);
                         }
-                        p.expect(b'}')?;
+                        suites.push((name, suite));
                     }
                 }
-                other => return Err(format!("unknown top-level key {other:?}")),
+                (key, value) => {
+                    return Err(format!("unexpected top-level member {key:?}: {value}"))
+                }
             }
-            if !p.try_expect(b',') {
-                break;
-            }
-        }
-        p.expect(b'}')?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing data at byte {}", p.pos));
         }
         Ok(BenchReport {
             source: source.ok_or("missing \"source\"")?,
@@ -219,151 +193,6 @@ impl BenchReport {
                 format!("writing bench report {}: {e}", path.display()),
             )
         })
-    }
-}
-
-/// Cursor over the byte shape [`BenchReport::to_json`] produces: strings,
-/// numbers, `null`, and `{` `}` `:` `,` punctuation, whitespace-insensitive.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    /// Consumes `token` after whitespace, or errors with the position.
-    fn expect(&mut self, token: u8) -> Result<(), String> {
-        if self.try_expect(token) {
-            Ok(())
-        } else {
-            Err(format!("expected {:?} at byte {}", token as char, self.pos))
-        }
-    }
-
-    /// Consumes `token` after whitespace if present; reports whether it did.
-    fn try_expect(&mut self, token: u8) -> bool {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&token) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let escape = self.bytes.get(self.pos + 1);
-                    self.pos += 2;
-                    match escape {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at byte {}", self.pos)),
-                    }
-                }
-                Some(_) => {
-                    // Strings are valid UTF-8 (the input is &str); copy the
-                    // whole code point.
-                    let rest = &self.bytes[self.pos..];
-                    let c = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8".to_string())?
-                        .chars()
-                        .next()
-                        .expect("non-empty");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-                None => return Err("unterminated string".to_string()),
-            }
-        }
-    }
-
-    /// A JSON number, or `null` (decoded as NaN, mirroring the encoder).
-    fn number(&mut self) -> Result<f64, String> {
-        self.skip_ws();
-        if self.bytes[self.pos..].starts_with(b"null") {
-            self.pos += 4;
-            return Ok(f64::NAN);
-        }
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|&b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("ascii")
-            .parse::<f64>()
-            .map_err(|_| format!("expected a number at byte {start}"))
-    }
-}
-
-/// Encodes a string as a JSON string literal.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Encodes a number as a JSON value (`null` for non-finite inputs — JSON
-/// has no NaN/Infinity).
-fn json_number(v: f64) -> String {
-    if !v.is_finite() {
-        return "null".to_string();
-    }
-    // Integral values print without a fraction; `{}` on f64 is the shortest
-    // round-trippable form otherwise.
-    if v == v.trunc() && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
     }
 }
 

@@ -5,7 +5,24 @@
 //! optimizer's rewrite rules (see [`crate::transformations_from_ecc_set`]).
 //! Sets serialize two ways — as interchange JSON ([`EccSet::to_json`],
 //! [`EccSet::save`]) and as the compact binary `QTZL` artifacts of
-//! [`crate::library`] that services load at startup.
+//! [`crate::library`] that services load at startup (`quartz-lib pack` and
+//! `unpack` convert between the two).
+//!
+//! The JSON codec is built on [`crate::json`]: encoding builds a
+//! [`Json`] tree and writes it compactly, decoding walks the parsed tree.
+//! The format is the one the original Quartz tooling reads:
+//!
+//! ```json
+//! {"num_qubits":2,"num_params":1,"eccs":[{"circuits":[
+//!   {"num_qubits":2,"num_params":1,"instructions":[
+//!     {"gate":"rz","qubits":[0],"params":[{"coeffs":[1],"const_pi4":0}]}
+//!   ]}
+//! ]}]}
+//! ```
+//!
+//! Syntax errors carry the line, column and byte of the offending token;
+//! shape errors name the JSON path of the offending value, e.g.
+//! `eccs[0].circuits[1].instructions[2].gate: unknown gate "nope"`.
 //!
 //! # Examples
 //!
@@ -26,7 +43,8 @@
 //! assert_eq!(EccSet::from_json(&set.to_json()).unwrap(), set);
 //! ```
 
-use quartz_ir::Circuit;
+use crate::json::{self, Json};
+use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 use std::fmt;
 use std::path::Path;
 
@@ -174,19 +192,49 @@ impl EccSet {
         }
     }
 
-    /// Serializes to a JSON string (see `crate::json` for the format).
+    /// Serializes to a compact JSON string (format in the module docs).
     pub fn to_json(&self) -> String {
-        crate::json::ecc_set_to_json(self)
+        let eccs = self.eccs.iter().map(|ecc| {
+            let circuits = ecc.circuits().iter().map(circuit_to_json).collect();
+            Json::Object(vec![("circuits".into(), Json::Array(circuits))])
+        });
+        Json::Object(vec![
+            ("num_qubits".into(), Json::Int(self.num_qubits as i128)),
+            ("num_params".into(), Json::Int(self.num_params as i128)),
+            ("eccs".into(), Json::Array(eccs.collect())),
+        ])
+        .to_string()
     }
 
     /// Deserializes from a JSON string.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first syntax or shape error on malformed
-    /// input, with the line, column, and byte offset of the offending token.
+    /// Returns a description of the first error on malformed input: syntax
+    /// errors carry the line, column and byte offset of the offending
+    /// token, shape errors the JSON path of the offending value.
     pub fn from_json(json: &str) -> Result<EccSet, String> {
-        crate::json::ecc_set_from_json(json)
+        let doc = json::parse(json).map_err(|e| e.to_string())?;
+        let root = Node {
+            path: String::new(),
+            value: &doc,
+        };
+        let mut set = EccSet::new(
+            root.field("num_qubits")?.usize()?,
+            root.field("num_params")?.usize()?,
+        );
+        for ecc in root.field("eccs")?.items()? {
+            let circuits = ecc
+                .field("circuits")?
+                .items()?
+                .map(|circuit| circuit_from_json(&circuit))
+                .collect::<Result<Vec<_>, _>>()?;
+            if circuits.is_empty() {
+                return Err(ecc.error("an ECC must contain at least one circuit"));
+            }
+            set.eccs.push(Ecc::new(circuits));
+        }
+        Ok(set)
     }
 
     /// Writes the set as JSON to a file.
@@ -231,10 +279,172 @@ impl fmt::Display for EccSet {
     }
 }
 
+fn circuit_to_json(circuit: &Circuit) -> Json {
+    let instructions = circuit.instructions().iter().map(|instr| {
+        let qubits = instr.qubits.iter().map(|&q| Json::Int(q as i128));
+        let params = instr.params.iter().map(|p| {
+            let coeffs = p.coeffs().iter().map(|&c| Json::Int(c.into()));
+            Json::Object(vec![
+                ("coeffs".into(), Json::Array(coeffs.collect())),
+                ("const_pi4".into(), Json::Int(p.const_pi4().into())),
+            ])
+        });
+        Json::Object(vec![
+            ("gate".into(), Json::Str(instr.gate.name().into())),
+            ("qubits".into(), Json::Array(qubits.collect())),
+            ("params".into(), Json::Array(params.collect())),
+        ])
+    });
+    Json::Object(vec![
+        ("num_qubits".into(), Json::Int(circuit.num_qubits() as i128)),
+        ("num_params".into(), Json::Int(circuit.num_params() as i128)),
+        ("instructions".into(), Json::Array(instructions.collect())),
+    ])
+}
+
+fn circuit_from_json(node: &Node<'_>) -> Result<Circuit, String> {
+    let num_qubits = node.field("num_qubits")?.usize()?;
+    let num_params = node.field("num_params")?.usize()?;
+    let mut circuit = Circuit::new(num_qubits, num_params);
+    for instr in node.field("instructions")?.items()? {
+        circuit.push(instruction_from_json(&instr, num_qubits, num_params)?);
+    }
+    Ok(circuit)
+}
+
+fn instruction_from_json(
+    node: &Node<'_>,
+    num_qubits: usize,
+    num_params: usize,
+) -> Result<Instruction, String> {
+    let gate_node = node.field("gate")?;
+    let name = gate_node.str()?;
+    let gate = Gate::from_name(name)
+        .ok_or_else(|| gate_node.error(format_args!("unknown gate {name:?}")))?;
+    let mut qubits = Vec::new();
+    for q_node in node.field("qubits")?.items()? {
+        let q = q_node.usize()?;
+        if q >= num_qubits {
+            return Err(q_node.error(format_args!(
+                "qubit {q} out of range for circuit with {num_qubits} qubits"
+            )));
+        }
+        if qubits.contains(&q) {
+            return Err(q_node.error(format_args!("repeated qubit operand {q} for gate {name}")));
+        }
+        qubits.push(q);
+    }
+    if qubits.len() != gate.num_qubits() {
+        return Err(node.error(format_args!(
+            "gate {name} expects {} qubit operands, got {}",
+            gate.num_qubits(),
+            qubits.len()
+        )));
+    }
+    let mut params = Vec::new();
+    for p_node in node.field("params")?.items()? {
+        let coeffs = p_node
+            .field("coeffs")?
+            .items()?
+            .map(|c| c.i32())
+            .collect::<Result<Vec<_>, _>>()?;
+        if coeffs.len() != num_params {
+            return Err(p_node.error(format_args!(
+                "parameter expression has {} coefficients, circuit has {num_params} parameters",
+                coeffs.len()
+            )));
+        }
+        let const_pi4 = p_node.field("const_pi4")?.i32()?;
+        params.push(ParamExpr::from_parts(coeffs, const_pi4));
+    }
+    if params.len() != gate.num_params() {
+        return Err(node.error(format_args!(
+            "gate {name} expects {} parameters, got {}",
+            gate.num_params(),
+            params.len()
+        )));
+    }
+    Ok(Instruction::new(gate, qubits, params))
+}
+
+/// A value of a parsed ECC document and its JSON path (`eccs[0].circuits`),
+/// which every shape error names.
+struct Node<'a> {
+    path: String,
+    value: &'a Json,
+}
+
+impl<'a> Node<'a> {
+    fn error(&self, message: impl fmt::Display) -> String {
+        if self.path.is_empty() {
+            message.to_string()
+        } else {
+            format!("{}: {message}", self.path)
+        }
+    }
+
+    fn mismatch(&self, expected: &str) -> String {
+        let found = match self.value {
+            Json::Null => "null".to_string(),
+            Json::Bool(b) => format!("boolean {b}"),
+            Json::Int(n) => format!("integer {n}"),
+            Json::Float(x) => format!("number {x}"),
+            Json::Str(s) => format!("string {s:?}"),
+            Json::Array(_) => "an array".to_string(),
+            Json::Object(_) => "an object".to_string(),
+        };
+        self.error(format_args!("expected {expected}, found {found}"))
+    }
+
+    fn field(&self, name: &str) -> Result<Node<'a>, String> {
+        let Json::Object(_) = self.value else {
+            return Err(self.mismatch("an object"));
+        };
+        let value = self
+            .value
+            .get(name)
+            .ok_or_else(|| self.error(format_args!("missing field {name:?}")))?;
+        let path = if self.path.is_empty() {
+            name.to_string()
+        } else {
+            format!("{}.{name}", self.path)
+        };
+        Ok(Node { path, value })
+    }
+
+    fn items(&self) -> Result<impl Iterator<Item = Node<'a>> + '_, String> {
+        let items = self
+            .value
+            .as_array()
+            .ok_or_else(|| self.mismatch("an array"))?;
+        Ok(items.iter().enumerate().map(move |(i, value)| Node {
+            path: format!("{}[{i}]", self.path),
+            value,
+        }))
+    }
+
+    fn str(&self) -> Result<&'a str, String> {
+        self.value.as_str().ok_or_else(|| self.mismatch("a string"))
+    }
+
+    fn usize(&self) -> Result<usize, String> {
+        self.value
+            .as_usize()
+            .ok_or_else(|| self.mismatch("a non-negative integer"))
+    }
+
+    fn i32(&self) -> Result<i32, String> {
+        match self.value {
+            Json::Int(n) => i32::try_from(*n)
+                .map_err(|_| self.error(format_args!("integer {n} out of i32 range"))),
+            _ => Err(self.mismatch("an integer")),
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quartz_ir::{Gate, Instruction};
 
     fn single(gate: Gate, q: usize) -> Circuit {
         let mut c = Circuit::new(2, 0);
@@ -285,6 +495,13 @@ mod tests {
         let back = EccSet::from_json(&json).unwrap();
         assert_eq!(set, back);
         assert!(EccSet::from_json("not json").is_err());
+    }
+
+    #[test]
+    fn deeply_nested_json_is_rejected_at_the_depth_bound() {
+        // Unbounded recursion would overflow the stack on this input.
+        let err = EccSet::from_json(&"[".repeat(1_000_000)).unwrap_err();
+        assert!(err.contains("maximum nesting depth 64 exceeded"), "{err}");
     }
 
     #[test]

@@ -17,6 +17,9 @@
 //!   loads in milliseconds; the `quartz-lib` CLI
 //!   (`cargo run -p quartz-gen --bin quartz-lib`) packs, inspects and
 //!   verifies artifacts.
+//! * [`json`] is the workspace's one JSON codec: ECC-set interchange files,
+//!   audit sidecars and reports, bench reports and the daemon's wire
+//!   protocol are all built on it.
 //! * [`count_possible_circuits`] computes the brute-force sequence counts the
 //!   paper compares against in Table 6.
 //!
@@ -50,7 +53,7 @@ pub mod audit;
 mod count;
 mod ecc;
 mod index;
-mod json;
+pub mod json;
 mod library;
 mod prune;
 mod registry;

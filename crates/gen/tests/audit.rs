@@ -2,9 +2,10 @@
 //! §11): semantic re-verification, the structural lints, the
 //! content-addressed verified-cache, and the sidecar stamp format.
 
+use quartz_gen::json::{self, Json};
 use quartz_gen::{
-    audit::class_digest, AuditConfig, AuditStamp, Auditor, Ecc, EccSet, Library, RuleCode,
-    Severity, GENERATOR_VERSION,
+    audit::class_digest, AuditConfig, AuditStamp, Auditor, Diagnostic, Ecc, EccSet, Library,
+    Location, RuleCode, Severity, GENERATOR_VERSION,
 };
 use quartz_ir::{Circuit, Gate, Instruction, ParamExpr};
 use quartz_verify::VerifierConfig;
@@ -114,6 +115,47 @@ fn semantic_corruption_is_caught_with_a_located_diagnostic() {
     assert!(report.class_digests.is_empty());
     // The machine-readable report names the rule.
     assert!(report.to_json().contains("\"E001\""));
+}
+
+#[test]
+fn json_report_parses_with_counts_and_escaped_messages() {
+    // What `quartz-lib audit --json` prints: an error-bearing report plus a
+    // diagnostic whose message needs every escape the codec writes.
+    let mut hh = clean_set();
+    hh.eccs[0].insert({
+        let mut c = Circuit::new(2, 0);
+        c.push(instr(Gate::X, &[0]));
+        c
+    });
+    let mut report = Auditor::default().audit_set(&hh, "Nam", None, None);
+    let message = "a \"quoted\" C:\\path\nsecond line";
+    report.diagnostics.push(Diagnostic {
+        rule: RuleCode::DeadRule,
+        severity: Severity::Warning,
+        location: Location::ecc(0),
+        message: message.to_string(),
+    });
+    assert!(report.errors() > 0 && report.warnings() > 0);
+
+    let parsed = json::parse(&report.to_json()).expect("audit --json output parses");
+    assert_eq!(
+        parsed.get("errors").and_then(Json::as_usize),
+        Some(report.errors())
+    );
+    assert_eq!(
+        parsed.get("warnings").and_then(Json::as_usize),
+        Some(report.warnings())
+    );
+    let diagnostics = parsed.get("diagnostics").and_then(Json::as_array).unwrap();
+    assert_eq!(diagnostics.len(), report.diagnostics.len());
+    let last = diagnostics.last().unwrap();
+    assert_eq!(last.get("message").and_then(Json::as_str), Some(message));
+    assert_eq!(
+        last.get("rule").and_then(Json::as_str),
+        Some(RuleCode::DeadRule.code())
+    );
+    assert_eq!(last.get("ecc").and_then(Json::as_usize), Some(0));
+    assert_eq!(last.get("circuit"), Some(&Json::Null));
 }
 
 #[test]
